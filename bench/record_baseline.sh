@@ -119,7 +119,7 @@ python3 - "$FIG2_OUT" "$MICRO_OUT" "$SERVE_OUT" "$TRAIN_OUT" "$EIGEN_OUT" \
 import json, os, re, sys
 
 (fig2_path, micro_path, serve_path, train_path, eigen_path,
- dual_path, map_path, stream_path, metrics_path) = sys.argv[1:10]
+ dual_bench_path, map_path, stream_path, metrics_path) = sys.argv[1:10]
 
 # --- fig2_k_sweep: parse the per-k metric rows under each mode header.
 fig2 = {}
@@ -245,7 +245,7 @@ for line in open(eigen_path):
 # --- dual_bench: per-shape timing rows + the dual-agreement verdict
 # (normalizers/marginals to tolerance, sample streams bit-identical).
 dual = {"dual_agrees": True, "shapes": []}
-for line in open(dual_path):
+for line in open(dual_bench_path):
     if "AGREEMENT VIOLATION" in line or "AGREEMENT UNVERIFIED" in line:
         dual["dual_agrees"] = False
     m = re.match(
@@ -273,7 +273,7 @@ if not dual["shapes"]:
 # counts (largest single Matrix, in elements), so the regex cannot
 # collide with the dual sweep's integer-reps/speedup-x row shape.
 dual_blend = {"blend_agrees": True, "shapes": []}
-for line in open(dual_path):
+for line in open(dual_bench_path):
     if "BLEND VIOLATION" in line or "BLEND UNVERIFIED" in line:
         dual_blend["blend_agrees"] = False
     m = re.match(

@@ -17,65 +17,23 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "linalg/eigen.h"
-#include "linalg/low_rank.h"
 #include "linalg/matrix.h"
 
 namespace lkpdpp {
 
-/// An exact standard DPP with PSD kernel L over {0..m-1}.
-///
-/// Three representations share this type. The primal one (Create) holds
-/// the n x n kernel and its full eigendecomposition. The dual one
-/// (CreateDual) holds a rank-d factor V with L = V V^T plus the d x d
-/// dual eigendecomposition, and never materializes L: probabilities come
-/// from Gram determinants and sampling lifts dual eigenvectors on demand
-/// (Gartrell et al. 2016). The factor-diag one (CreateFactorDiag) holds
-/// L = W W^T + Diag(diag) — the blended serving shape — with the full
-/// n-length spectrum computed by inertia bisection
-/// (linalg/factor_diag.h) and eigenvectors materialized per draw, again
-/// never forming n x n. All define the same distribution, and for a
-/// fixed seed Sample draws the same subsets in any representation: the
-/// dual sampler consumes its Rng in the exact draw order of the primal
-/// sampler (including the selection draws the primal spends on zero
-/// eigenvalues), and the factor-diag sampler walks the same full
-/// spectrum the primal walks, so swapping representations cannot
-/// re-randomize a stream.
+/// An exact standard DPP with PSD kernel L over {0..m-1}, held primally:
+/// the m x m kernel plus its full eigendecomposition. LkP serves only the
+/// k-DPP, so the thin representations (low-rank dual, factor-plus-
+/// diagonal) live on KDpp alone; this class is the comparison object.
 class Dpp {
  public:
   /// Fails on non-square/non-symmetric/indefinite kernels (round-off
   /// negatives are clamped).
   static Result<Dpp> Create(Matrix kernel);
 
-  /// Builds the DPP with kernel L = V V^T from its factor, at
-  /// O(n d^2 + d^3) instead of O(n^3). Same PSD clamp as Create, applied
-  /// at primal ground size, so rank detection is representation-
-  /// independent.
-  static Result<Dpp> CreateDual(LowRankFactor factor);
+  int ground_size() const { return kernel_.rows(); }
 
-  /// Builds the DPP with kernel L = W W^T + Diag(diag) from the factor
-  /// and the added diagonal, without materializing L: the full spectrum
-  /// comes from FactorDiagSpectrum and gets the same PSD clamp as
-  /// Create. O(n d) memory; spectrum time O(n^2 d^2 log(1/eps)).
-  static Result<Dpp> CreateFactorDiag(LowRankFactor factor, Vector diag);
-
-  int ground_size() const {
-    return kernel_.rows() > 0 ? kernel_.rows() : factor_.ground_size();
-  }
-  bool is_dual() const { return dual_; }
-  bool is_factor_diag() const { return factor_diag_; }
-
-  /// Primal-mode kernel. Empty in dual/factor-diag modes (the whole
-  /// point is never materializing it); use factor() there.
-  const Matrix& kernel() const { return kernel_; }
-  /// Dual-mode factor V / factor-diag-mode factor W. Empty (0 x 0 v())
-  /// in primal mode.
-  const LowRankFactor& factor() const { return factor_; }
-  /// Factor-diag mode: the added diagonal D. Empty otherwise.
-  const Vector& added_diagonal() const { return fd_diag_; }
-
-  /// Primal and factor-diag modes: all n eigenvalues of L, ascending.
-  /// Dual mode: the d eigenvalues of the dual kernel C = V^T V,
-  /// ascending — L's spectrum is these plus (n - d) implicit zeros.
+  /// All m eigenvalues of L, ascending.
   const Vector& eigenvalues() const { return eig_.eigenvalues; }
 
   /// log det(L + I): the normalizer over all 2^m subsets.
@@ -86,8 +44,7 @@ class Dpp {
   Result<double> LogProb(const std::vector<int>& subset) const;
   Result<double> Prob(const std::vector<int>& subset) const;
 
-  /// Marginal kernel M = L (L + I)^{-1}; M_ii = P(i in S). Dual mode
-  /// assembles it from lifted eigenvectors at O(n^2 r) — prefer
+  /// Marginal kernel M = L (L + I)^{-1}; M_ii = P(i in S). Prefer
   /// MarginalDiagonal when only inclusion probabilities are needed.
   Matrix MarginalKernel() const;
 
@@ -104,16 +61,7 @@ class Dpp {
 
  private:
   Dpp(Matrix kernel, EigenDecomposition eig, double log_z);
-  Dpp(LowRankFactor factor, EigenDecomposition dual_eig, double log_z);
-  Dpp(LowRankFactor factor, Vector fd_diag, Vector spectrum, double log_z);
-  Matrix kernel_;         // Primal mode only.
-  LowRankFactor factor_;  // Dual and factor-diag modes.
-  Vector fd_diag_;        // Factor-diag mode only: the added diagonal.
-  bool dual_ = false;
-  bool factor_diag_ = false;
-  // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
-  // Factor-diag: the full n-length spectrum of W W^T + D; eigenvectors
-  // stay empty and are materialized on demand (linalg/factor_diag.h).
+  Matrix kernel_;
   EigenDecomposition eig_;
   double log_z_;
 };

@@ -72,33 +72,14 @@ Result<std::pair<Matrix, double>> FinishSpectrum(const Vector& eigenvalues,
 
 }  // namespace
 
-KDpp::KDpp(Matrix kernel, int k, EigenDecomposition eig, double log_zk,
-           Matrix esp_table)
-    : kernel_(std::move(kernel)),
+KDpp::KDpp(Rep rep, int m, int k, EigenDecomposition eig,
+           std::pair<Matrix, double> finish)
+    : rep_(rep),
+      m_(m),
       k_(k),
       eig_(std::move(eig)),
-      log_zk_(log_zk),
-      esp_table_(std::move(esp_table)) {}
-
-KDpp::KDpp(LowRankFactor factor, int k, EigenDecomposition dual_eig,
-           double log_zk, Matrix esp_table)
-    : factor_(std::move(factor)),
-      dual_(true),
-      k_(k),
-      eig_(std::move(dual_eig)),
-      log_zk_(log_zk),
-      esp_table_(std::move(esp_table)) {}
-
-KDpp::KDpp(LowRankFactor factor, Vector fd_diag, int k, Vector spectrum,
-           double log_zk, Matrix esp_table)
-    : factor_(std::move(factor)),
-      fd_diag_(std::move(fd_diag)),
-      factor_diag_(true),
-      k_(k),
-      log_zk_(log_zk),
-      esp_table_(std::move(esp_table)) {
-  eig_.eigenvalues = std::move(spectrum);
-}
+      esp_table_(std::move(finish.first)),
+      log_zk_(finish.second) {}
 
 Result<KDpp> KDpp::Create(Matrix kernel, int k) {
   if (kernel.rows() != kernel.cols()) {
@@ -123,8 +104,9 @@ Result<KDpp> KDpp::Create(Matrix kernel, int k) {
   // path below detects the same rank from the same kernel.
   LKP_RETURN_IF_ERROR(ClampSpectrumToPsd(&eig.eigenvalues, m));
   LKP_ASSIGN_OR_RETURN(auto finish, FinishSpectrum(eig.eigenvalues, k, m));
-  return KDpp(std::move(kernel), k, std::move(eig), finish.second,
-              std::move(finish.first));
+  KDpp out(Rep::kPrimal, m, k, std::move(eig), std::move(finish));
+  out.kernel_ = std::move(kernel);
+  return out;
 }
 
 Result<KDpp> KDpp::CreateDual(LowRankFactor factor, int k) {
@@ -152,8 +134,9 @@ Result<KDpp> KDpp::CreateDual(LowRankFactor factor, int k) {
   EigenDecomposition eig;
   eig.eigenvalues = std::move(dual.eigenvalues);
   eig.eigenvectors = std::move(dual.dual_vectors);
-  return KDpp(std::move(factor), k, std::move(eig), finish.second,
-              std::move(finish.first));
+  KDpp out(Rep::kDual, m, k, std::move(eig), std::move(finish));
+  out.factor_ = std::move(factor);
+  return out;
 }
 
 Result<KDpp> KDpp::CreateFactorDiag(LowRankFactor factor, Vector diag,
@@ -184,8 +167,12 @@ Result<KDpp> KDpp::CreateFactorDiag(LowRankFactor factor, Vector diag,
   LKP_ASSIGN_OR_RETURN(Vector spectrum, FactorDiagSpectrum(factor.v(), diag));
   LKP_RETURN_IF_ERROR(ClampSpectrumToPsd(&spectrum, m));
   LKP_ASSIGN_OR_RETURN(auto finish, FinishSpectrum(spectrum, k, m));
-  return KDpp(std::move(factor), std::move(diag), k, std::move(spectrum),
-              finish.second, std::move(finish.first));
+  EigenDecomposition eig;
+  eig.eigenvalues = std::move(spectrum);
+  KDpp out(Rep::kFactorDiag, m, k, std::move(eig), std::move(finish));
+  out.factor_ = std::move(factor);
+  out.fd_diag_ = std::move(diag);
+  return out;
 }
 
 Result<double> KDpp::LogProb(const std::vector<int>& subset) const {
@@ -194,9 +181,9 @@ Result<double> KDpp::LogProb(const std::vector<int>& subset) const {
   // det(L_S) from the kernel submatrix, or from the Gram of the factor's
   // rows (plus the added diagonal in factor-diag mode) — the same k x k
   // matrix, assembled without materializing L.
-  Matrix sub = dual_ || factor_diag_ ? factor_.SubsetGram(sorted)
-                                     : kernel_.PrincipalSubmatrix(sorted);
-  if (factor_diag_) {
+  Matrix sub = rep_ == Rep::kPrimal ? kernel_.PrincipalSubmatrix(sorted)
+                                    : factor_.SubsetGram(sorted);
+  if (rep_ == Rep::kFactorDiag) {
     for (size_t i = 0; i < sorted.size(); ++i) {
       sub(static_cast<int>(i), static_cast<int>(i)) += fd_diag_[sorted[i]];
     }
@@ -275,7 +262,7 @@ Result<std::vector<int>> KDpp::Sample(Rng* rng) const {
   // eigenvectors (shared with the standard DPP sampler in dpp.h). Dual
   // mode lifts the selected dual vectors to L-space on demand:
   // O(m d k) for the lift, never an m x m materialization.
-  if (dual_) {
+  if (rep_ == Rep::kDual) {
     Matrix basis = factor_.LiftEigenvectors(eig_.eigenvalues,
                                             eig_.eigenvectors, selected);
     return SampleElementaryDpp(std::move(basis), rng);
@@ -284,7 +271,7 @@ Result<std::vector<int>> KDpp::Sample(Rng* rng) const {
   // W W^T + D (never m x m). The backward walk pushes columns in
   // descending order; the materializer wants them ascending. Column
   // order within the basis is immaterial to the elementary sampler.
-  if (factor_diag_) {
+  if (rep_ == Rep::kFactorDiag) {
     std::vector<int> ascending = selected;
     std::sort(ascending.begin(), ascending.end());
     LKP_ASSIGN_OR_RETURN(
@@ -335,11 +322,11 @@ Vector KDpp::MarginalWeights() const {
 
 Matrix KDpp::MarginalKernel() const {
   const Vector w = MarginalWeights();
-  if (dual_) {
+  if (rep_ == Rep::kDual) {
     return WeightedLiftedOuter(factor_, eig_.eigenvalues,
                                eig_.eigenvectors, w);
   }
-  if (factor_diag_) {
+  if (rep_ == Rep::kFactorDiag) {
     Result<Matrix> out =
         FactorDiagWeightedOuter(factor_.v(), fd_diag_, eig_.eigenvalues, w);
     LKP_CHECK(out.ok()) << out.status().ToString();
@@ -350,11 +337,11 @@ Matrix KDpp::MarginalKernel() const {
 
 Vector KDpp::MarginalDiagonal() const {
   const Vector w = MarginalWeights();
-  if (dual_) {
+  if (rep_ == Rep::kDual) {
     return WeightedLiftedDiagonal(factor_, eig_.eigenvalues,
                                   eig_.eigenvectors, w);
   }
-  if (factor_diag_) {
+  if (rep_ == Rep::kFactorDiag) {
     Result<Vector> out = FactorDiagWeightedDiagonal(factor_.v(), fd_diag_,
                                                     eig_.eigenvalues, w);
     LKP_CHECK(out.ok()) << out.status().ToString();
@@ -364,7 +351,7 @@ Vector KDpp::MarginalDiagonal() const {
 }
 
 Matrix KDpp::NormalizerGradient() const {
-  LKP_CHECK(!dual_ && !factor_diag_)
+  LKP_CHECK(rep_ == Rep::kPrimal)
       << "NormalizerGradient is primal-only: d Z_k / d L needs the full "
          "eigenvector set, which the factored representations never hold";
   const int m = ground_size();
@@ -375,7 +362,7 @@ Matrix KDpp::NormalizerGradient() const {
 }
 
 Matrix KDpp::LogNormalizerGradient() const {
-  LKP_CHECK(!dual_ && !factor_diag_)
+  LKP_CHECK(rep_ == Rep::kPrimal)
       << "LogNormalizerGradient is primal-only: d log Z_k / d L needs "
          "the full eigenvector set, which the factored representations "
          "never hold";

@@ -39,7 +39,9 @@ namespace lkpdpp {
 /// dual sampler consumes its Rng in the exact draw order of the primal
 /// sampler, and the factor-diag sampler walks the same full spectrum the
 /// primal walks, so a fixed seed yields the same subset stream in any
-/// representation.
+/// representation. The representation is fixed by the factory and not
+/// exposed: a caller that needs it records its own choice (serving
+/// keeps it as ServedKernel::path).
 class KDpp {
  public:
   /// Builds the distribution. Fails if the kernel is not square/symmetric,
@@ -65,20 +67,7 @@ class KDpp {
                                        int k);
 
   int k() const { return k_; }
-  int ground_size() const {
-    return kernel_.rows() > 0 ? kernel_.rows() : factor_.ground_size();
-  }
-  bool is_dual() const { return dual_; }
-  bool is_factor_diag() const { return factor_diag_; }
-
-  /// Primal-mode kernel. Empty in dual/factor-diag modes; use factor()
-  /// there.
-  const Matrix& kernel() const { return kernel_; }
-  /// Dual-mode factor V / factor-diag-mode factor W. Empty (0 x 0 v())
-  /// in primal mode.
-  const LowRankFactor& factor() const { return factor_; }
-  /// Factor-diag mode: the added diagonal D. Empty otherwise.
-  const Vector& added_diagonal() const { return fd_diag_; }
+  int ground_size() const { return m_; }
 
   /// Primal and factor-diag modes: all m eigenvalues of L, ascending.
   /// Dual mode: the d eigenvalues of C = V^T V, ascending — L's spectrum
@@ -86,8 +75,8 @@ class KDpp {
   /// needs.
   const Vector& eigenvalues() const { return eig_.eigenvalues; }
   /// Primal mode: eigenvectors of L. Dual mode: eigenvectors of C (d x d
-  /// dual vectors; lift via factor().LiftEigenvectors to reach L-space).
-  /// Factor-diag mode: empty — eigenvectors are materialized on demand
+  /// dual vectors, lifted to L-space on demand). Factor-diag mode:
+  /// empty — eigenvectors are materialized on demand
   /// (linalg/factor_diag.h), never stored.
   const Matrix& eigenvectors() const { return eig_.eigenvectors; }
 
@@ -145,30 +134,33 @@ class KDpp {
   Matrix LogNormalizerGradient() const;
 
  private:
-  KDpp(Matrix kernel, int k, EigenDecomposition eig, double log_zk,
-       Matrix esp_table);
-  KDpp(LowRankFactor factor, int k, EigenDecomposition dual_eig,
-       double log_zk, Matrix esp_table);
-  KDpp(LowRankFactor factor, Vector fd_diag, int k, Vector spectrum,
-       double log_zk, Matrix esp_table);
+  /// Which representation Create* built; fixed for the object's life.
+  enum class Rep { kPrimal, kDual, kFactorDiag };
+
+  /// Takes the spectrum and its ESP finishing; the factory then fills
+  /// the representation's own field (kernel_, factor_, fd_diag_).
+  KDpp(Rep rep, int m, int k, EigenDecomposition eig,
+       std::pair<Matrix, double> finish);
 
   /// Per-spectrum-column marginal weight lambda_c e_{k-1}(lambda \ c)/Z_k.
   Vector MarginalWeights() const;
 
+  Rep rep_;
+  int m_;                 // Ground size.
+  int k_;
   Matrix kernel_;         // Primal mode only.
   LowRankFactor factor_;  // Dual and factor-diag modes.
   Vector fd_diag_;        // Factor-diag mode only: the added diagonal.
-  bool dual_ = false;
-  bool factor_diag_ = false;
-  int k_;
   // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
+  // Factor-diag: the full m-length spectrum of W W^T + D; eigenvectors
+  // stay empty and are materialized on demand.
   EigenDecomposition eig_;
-  double log_zk_;
   Matrix esp_table_;  // Full Algorithm-1 table over eigenvalues() (m+1
                       // columns primal, d+1 dual), reused by every
                       // Sample; its last column holds e_0..e_k (e_k is
                       // the normalizer, identical either way because
                       // zero eigenvalues leave ESPs unchanged).
+  double log_zk_;
 };
 
 /// Number of cardinality-k subsets of an m-set, as a double (exact for the

@@ -74,8 +74,8 @@ Result<Matrix> FactorDiagEigenvectors(const Matrix& w, const Vector& diag,
 /// W·Wᵀ + Diag(diag): out[i] = Σ_c weights[c]·u_c(i)². Eigenvectors are
 /// materialized in bounded column chunks (never n x n at once);
 /// zero-weight columns are skipped. The factor-diag counterpart of
-/// WeightedEigenvectorDiagonal / WeightedLiftedDiagonal, shared by the
-/// DPP and k-DPP marginal diagonals. `weights` has one entry per
+/// WeightedEigenvectorDiagonal / WeightedLiftedDiagonal, used by the
+/// k-DPP marginal diagonal. `weights` has one entry per
 /// spectrum column (length n).
 Result<Vector> FactorDiagWeightedDiagonal(const Matrix& w, const Vector& diag,
                                           const Vector& eigenvalues,

@@ -38,8 +38,8 @@
 //
 // Scope: KernelRep serves ENTRY-driven algorithms (greedy MAP). The
 // sampling side of the same blended kernel does not go through this
-// interface — it needs the spectrum, which Dpp/KDpp::CreateFactorDiag
-// obtain exactly from the identical W·Wᵀ + D split via
+// interface — it needs the spectrum, which KDpp::CreateFactorDiag
+// obtains exactly from the identical W·Wᵀ + D split via
 // linalg/factor_diag.h (W = √α·Diag(s)·V, D = δ·Diag(s²)). The two
 // paths share the decomposition but not the code: a KernelRep never
 // computes eigenvalues, and the factor-diag sampler never synthesizes

@@ -10,8 +10,8 @@
 // That turns the O(n^3) eigendecomposition the serving path pays per cold
 // kernel into an O(n d^2) Gram product plus an O(d^3) eigensolve, and
 // exact k-DPP sampling into O(n d k) per draw — without ever
-// materializing the n x n kernel. Dpp::CreateDual / KDpp::CreateDual
-// consume this representation; the serving layer builds it whenever the
+// materializing the n x n kernel. KDpp::CreateDual consumes this
+// representation; the serving layer builds it whenever the
 // conditioned kernel advertises an exact factor.
 //
 // Conditioning composes in the dual: extracting a candidate pool is a row
@@ -38,8 +38,8 @@
 //       L(i,j) = q_i·(α·<v_i, v_j> + δ·1[i=j])·q_j
 //     at O(d) each via RowDot/RowDots below; kernel_rep.h's
 //     FactorDiagKernelRep serves that without any eigensolve.
-//   * Sampling needs the spectrum: Dpp/KDpp::CreateFactorDiag run the
-//     ESP walk over the factor_diag.h spectrum and lift elementary-DPP
+//   * Sampling needs the spectrum: KDpp::CreateFactorDiag runs the
+//     ESP walk over the factor_diag.h spectrum and lifts elementary-DPP
 //     bases on demand, so blended 0 < α < 1 sampling is exact and
 //     draw-for-draw identical to the primal build (it walks the same
 //     full spectrum) while staying O(n·d) in memory.
@@ -76,7 +76,7 @@ struct DualEigen {
 class LowRankFactor {
  public:
   /// Empty (0 x 0) placeholder, used where a factor slot may be unfilled
-  /// (e.g. a primal-mode Dpp). Create() never returns one.
+  /// (e.g. a primal-mode KDpp). Create() never returns one.
   LowRankFactor() = default;
 
   /// Wraps an n x d factor. Fails on empty or non-finite input, or d < 1.
@@ -145,7 +145,7 @@ class LowRankFactor {
 /// Weighted outer product over lifted eigenvectors:
 ///   sum_{c : weights[c] > 0} weights[c] * u_c u_c^T   (n x n),
 /// where u_c is the lift of dual eigenvector c. This is the dual-mode
-/// assembly shared by DPP/k-DPP marginal kernels: zero-weight columns
+/// assembly of the k-DPP marginal kernel: zero-weight columns
 /// are skipped, and every positive-weight column must have a strictly
 /// positive eigenvalue (all weight functions in use vanish on zero
 /// eigenvalues). `eigenvalues`/`dual_vectors` are the pieces of a

@@ -134,18 +134,26 @@ std::string MetricsRegistry::DumpPrometheusText() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     type_line(name, "histogram");
+    // A labeled series ("family{path="x"}") keeps its labels on every
+    // suffix: family_bucket{path="x",le="1"}, family_sum{path="x"}.
+    const std::string family = FamilyOf(name);
+    const std::string labels = name.substr(family.size());
+    const std::string bucket_open =
+        family + "_bucket" +
+        (labels.empty() ? "{" : labels.substr(0, labels.size() - 1) + ",");
     const std::vector<long> counts = histogram->BucketCounts();
     long cumulative = 0;
     for (size_t i = 0; i < histogram->bounds().size(); ++i) {
       cumulative += counts[i];
-      out += name + "_bucket{le=\"" + FormatNumber(histogram->bounds()[i]) +
+      out += bucket_open + "le=\"" + FormatNumber(histogram->bounds()[i]) +
              "\"} " + FormatNumber(static_cast<double>(cumulative)) + "\n";
     }
     cumulative += counts.back();
-    out += name + "_bucket{le=\"+Inf\"} " +
+    out += bucket_open + "le=\"+Inf\"} " +
            FormatNumber(static_cast<double>(cumulative)) + "\n";
-    out += name + "_sum " + FormatNumber(histogram->Sum()) + "\n";
-    out += name + "_count " +
+    out += family + "_sum" + labels + " " + FormatNumber(histogram->Sum()) +
+           "\n";
+    out += family + "_count" + labels + " " +
            FormatNumber(static_cast<double>(histogram->Count())) + "\n";
   }
   return out;

@@ -30,11 +30,19 @@ obs::Counter* CacheBuildsTotal() {
       "lkp_serve_cache_builds_total");
   return counter;
 }
-obs::Histogram* CacheBuildMs() {
-  static obs::Histogram* histogram =
-      obs::MetricsRegistry::Global().GetHistogram("lkp_serve_cache_build_ms",
-                                                  obs::LatencyBucketsMs());
-  return histogram;
+// Build latency, one series per serve path (indexed by enum value).
+obs::Histogram* CacheBuildMs(ServePath path) {
+  auto series = [](ServePath p) {
+    return obs::MetricsRegistry::Global().GetHistogram(
+        std::string("lkp_serve_cache_build_ms{path=\"") + ServePathName(p) +
+            "\"}",
+        obs::LatencyBucketsMs());
+  };
+  static obs::Histogram* const by_path[] = {
+      series(ServePath::kPrimal), series(ServePath::kDualSample),
+      series(ServePath::kFactorDiagSample), series(ServePath::kFactorMap),
+      series(ServePath::kDiagMap)};
+  return by_path[static_cast<int>(path)];
 }
 obs::Counter* ShardEvictionsTotal(int shard_index) {
   return obs::MetricsRegistry::Global().GetCounter(
@@ -48,6 +56,22 @@ obs::Counter* ShardInvalidationsTotal(int shard_index) {
 }
 
 }  // namespace
+
+const char* ServePathName(ServePath path) {
+  switch (path) {
+    case ServePath::kPrimal:
+      return "primal";
+    case ServePath::kDualSample:
+      return "dual_sample";
+    case ServePath::kFactorDiagSample:
+      return "factor_diag_sample";
+    case ServePath::kFactorMap:
+      return "factor_map";
+    case ServePath::kDiagMap:
+      return "diag_map";
+  }
+  return "?";
+}
 
 uint64_t HashGroundSet(const std::vector<int>& items) {
   uint64_t state = 0x243F6A8885A308D3ULL ^ (items.size() * 0x100000001B3ULL);
@@ -278,9 +302,11 @@ Result<std::shared_ptr<const ServedKernel>> KernelCache::GetOrBuild(
     LKP_TRACE_SPAN("serve.cache_build");
     return build();
   }();
-  CacheBuildMs()->Observe(build_timer.ElapsedMillis());
   if (built.ok() && *built == nullptr) {
     built = Status::Internal("kernel builder returned null");
+  }
+  if (built.ok()) {
+    CacheBuildMs((*built)->path)->Observe(build_timer.ElapsedMillis());
   }
   {
     std::lock_guard<std::mutex> lk(shard.mu);

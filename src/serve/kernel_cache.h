@@ -57,30 +57,44 @@
 
 namespace lkpdpp {
 
+/// Which kernel representation a cache entry holds, decided once by the
+/// service's builder. The thin representations (everything except
+/// kPrimal) never materialize the pool x pool kernel; all are exact
+/// except that approximate sources (GaussianKernelSource) may back the
+/// factor paths within the configured error budget.
+enum class ServePath {
+  kPrimal,            ///< Materialized conditioned kernel.
+  kDualSample,        ///< Low-rank dual k-DPP (sampling, alpha == 1).
+  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1).
+  kFactorMap,         ///< FactorDiagKernelRep greedy MAP.
+  kDiagMap,           ///< DiagKernelRep greedy MAP (alpha == 0).
+};
+
+const char* ServePathName(ServePath path);
+
 /// Everything reusable about one (user, ground set) pair.
 struct ServedKernel {
   /// The exact ground set this kernel was built for. Consumers compare
   /// this against their pool on a cache hit, so a 64-bit hash collision
   /// costs one rebuild instead of silently serving the wrong kernel.
   std::vector<int> items;
+  /// The representation the builder chose; responses served from this
+  /// entry (cold or warm) report it, and the build-latency histogram is
+  /// labeled with it.
+  ServePath path = ServePath::kPrimal;
   /// Conditioned kernel L = Diag(q) (alpha*K + (1-alpha)*I) Diag(q) over
-  /// the pool, in pool-local indices, behind whichever KernelRep the
-  /// service's cost model picked: a materialized PrimalKernelRep, or a
-  /// FactorDiagKernelRep holding just the pool's factor rows + blend
-  /// scalars (O(pool * rank) memory, rows synthesized on demand).
-  /// MAP-rerank mode only: sampling-mode entries keep the kernel inside
-  /// `kdpp` (kdpp->kernel()) instead of storing a second copy.
+  /// the pool, in pool-local indices (MAP-rerank mode only): a
+  /// materialized PrimalKernelRep, a FactorDiagKernelRep holding just the
+  /// pool's factor rows + blend scalars (O(pool * rank) memory, rows
+  /// synthesized on demand), or a DiagKernelRep at alpha == 0.
+  /// Sampling-mode entries keep the kernel inside `kdpp` instead.
   std::shared_ptr<const KernelRep> rep;
   /// Decomposed k-DPP over the conditioned kernel (sampling mode only;
-  /// null for MAP rerank, which needs no eigendecomposition). May be a
-  /// primal k-DPP (n x n kernel + eigendecomposition), a low-rank dual
-  /// one (factor + d x d dual eigendecomposition, kdpp->is_dual(),
-  /// alpha == 1 only), or a factor-plus-diagonal one (W W^T + D with the
-  /// full n-length spectrum from the rank-d diagonal-update solver,
-  /// kdpp->is_factor_diag(), the default for blended 0 < alpha < 1
-  /// pools) — the cache is representation-agnostic, and one service's
-  /// cache can hold a mix when pool sizes straddle the factor rank.
-  /// All three kinds ride the same versioned invalidation below.
+  /// null for MAP rerank, which needs no eigendecomposition): primal
+  /// (kPrimal), low-rank dual (kDualSample), or factor-plus-diagonal
+  /// (kFactorDiagSample). The cache is representation-agnostic, and one
+  /// service's cache can hold a mix when pool sizes straddle the factor
+  /// rank. All kinds ride the same versioned invalidation below.
   std::shared_ptr<const KDpp> kdpp;
   /// The model_version epoch the kernel was computed under (stamped by
   /// the service's builder). Targeted invalidation keeps entries from
@@ -123,6 +137,9 @@ class KernelCache {
   /// winner computes (lock-free for the cache), the rest wait on the
   /// per-key in-flight guard and share the result. Builder failures
   /// propagate to the owner and every waiter, and nothing is cached.
+  /// Each successful owner build is timed into
+  /// lkp_serve_cache_build_ms{path="<entry path>"}; failed builds are
+  /// not observed.
   /// `was_hit`, when non-null, reports whether the entry came from the
   /// cache (piggybacking on another caller's in-flight build counts as a
   /// miss: the kernel was not in the cache when this call arrived).

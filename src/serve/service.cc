@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -20,26 +21,6 @@ namespace {
 
 // Process-wide serving metrics. Handles are resolved once per site; the
 // hot-path cost is one sharded-atomic increment (see obs/metrics.h).
-obs::Counter* DualPathTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_dual_path_total");
-  return counter;
-}
-obs::Counter* PrimalPathTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_primal_path_total");
-  return counter;
-}
-obs::Counter* EigSkippedTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_kernel_cache_eig_skipped_total");
-  return counter;
-}
-obs::Counter* DiagPathTotal() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_diag_path_total");
-  return counter;
-}
 obs::Gauge* ModelVersionGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global().GetGauge(
       "lkp_model_version");
@@ -68,36 +49,18 @@ obs::Counter* ServeNumericalErrors() {
   return counter;
 }
 // Per-path build counters: exactly one of these increments per kernel
-// build, keyed by the representation that actually got built. The legacy
-// lkp_serve_{dual,primal,diag}_path_total counters stay for dashboard
-// continuity but attribute more coarsely.
+// build, keyed by the representation that actually got built.
 obs::Counter* PathTotal(ServePath path) {
-  static obs::Counter* primal = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_path_total{path=\"primal\"}");
-  static obs::Counter* dual_sample =
-      obs::MetricsRegistry::Global().GetCounter(
-          "lkp_serve_path_total{path=\"dual_sample\"}");
-  static obs::Counter* factor_diag_sample =
-      obs::MetricsRegistry::Global().GetCounter(
-          "lkp_serve_path_total{path=\"factor_diag_sample\"}");
-  static obs::Counter* factor_map =
-      obs::MetricsRegistry::Global().GetCounter(
-          "lkp_serve_path_total{path=\"factor_map\"}");
-  static obs::Counter* diag_map = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_path_total{path=\"diag_map\"}");
-  switch (path) {
-    case ServePath::kPrimal:
-      return primal;
-    case ServePath::kDualSample:
-      return dual_sample;
-    case ServePath::kFactorDiagSample:
-      return factor_diag_sample;
-    case ServePath::kFactorMap:
-      return factor_map;
-    case ServePath::kDiagMap:
-      return diag_map;
-  }
-  return primal;
+  auto series = [](ServePath p) {
+    return obs::MetricsRegistry::Global().GetCounter(
+        std::string("lkp_serve_path_total{path=\"") + ServePathName(p) +
+        "\"}");
+  };
+  static obs::Counter* const by_path[] = {
+      series(ServePath::kPrimal), series(ServePath::kDualSample),
+      series(ServePath::kFactorDiagSample), series(ServePath::kFactorMap),
+      series(ServePath::kDiagMap)};
+  return by_path[static_cast<int>(path)];
 }
 obs::Counter* ApproxFallbackTotal() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
@@ -120,22 +83,6 @@ const char* ServeModeName(ServeMode mode) {
       return "map_rerank";
     case ServeMode::kSample:
       return "sample";
-  }
-  return "?";
-}
-
-const char* ServePathName(ServePath path) {
-  switch (path) {
-    case ServePath::kPrimal:
-      return "primal";
-    case ServePath::kDualSample:
-      return "dual_sample";
-    case ServePath::kFactorDiagSample:
-      return "factor_diag_sample";
-    case ServePath::kFactorMap:
-      return "factor_map";
-    case ServePath::kDiagMap:
-      return "diag_map";
   }
   return "?";
 }
@@ -326,111 +273,107 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
     built->items = work.pool;
     built->model_version = model_version();
     const double alpha = config_.kernel_blend_alpha;
-    if (config_.mode == ServeMode::kMapRerank && !config_.force_primal &&
-        alpha == 0.0) {
-      // alpha == 0 degenerates the blend to Diag(q)·(delta·I)·Diag(q):
-      // pure diagonal, so neither the factor rows nor the materialized
-      // submatrix is worth building. O(pool) memory, bit-identical
-      // selections vs both (see DiagKernelRep).
-      LKP_TRACE_SPAN("serve.diag_rep_build");
-      EigSkippedTotal()->Inc();
-      DiagPathTotal()->Inc();
-      PathTotal(ServePath::kDiagMap)->Inc();
-      LKP_ASSIGN_OR_RETURN(DiagKernelRep rep,
-                           DiagKernelRep::Create(quality, 1.0 - alpha));
-      built->rep = std::make_shared<const DiagKernelRep>(std::move(rep));
-      return std::shared_ptr<const ServedKernel>(std::move(built));
+    ServePath path = ChoosePath(work.pool);
+    // The factor paths read the pool's thin factor. Approximate sources
+    // pass a per-pool gate: use the factor only when its computed
+    // entry-error bound fits the opted-in budget, else build primally.
+    ServingKernelSource::ThinFactor thin;
+    if (path != ServePath::kPrimal && path != ServePath::kDiagMap) {
+      LKP_ASSIGN_OR_RETURN(thin, source_->PoolFactor(work.pool));
+      if (!source_->exact() &&
+          !(thin.entry_error_bound <= config_.approx_error_budget)) {
+        ApproxFallbackTotal()->Inc();
+        path = ServePath::kPrimal;
+      }
     }
-    // Thin factor paths. Approximate sources pass a per-pool gate: use
-    // the factor only when its computed entry-error bound fits the
-    // opted-in budget, else fall through to the exact primal build.
-    const bool thin_wanted =
-        config_.mode == ServeMode::kSample
-            ? IsDualEligible(work.pool)
-            : UseFactorRep(work.pool);
-    if (thin_wanted) {
-      LKP_ASSIGN_OR_RETURN(ServingKernelSource::ThinFactor thin,
-                           source_->PoolFactor(work.pool));
-      if (source_->exact() ||
-          thin.entry_error_bound <= config_.approx_error_budget) {
-        if (config_.mode == ServeMode::kSample && alpha == 1.0) {
-          // The conditioned kernel is exactly Diag(q) K_S Diag(q) with
-          // K_S = F_S F_S^T, so condition in factor space (ScaleRows)
-          // and build the dual k-DPP — O(n d^2) instead of O(n^3), no
-          // n x n materialization.
-          LKP_TRACE_SPAN("serve.dual_build");
-          DualPathTotal()->Inc();
-          PathTotal(ServePath::kDualSample)->Inc();
-          LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
-                               LowRankFactor::Create(std::move(thin.rows)));
+    built->path = path;
+    PathTotal(path)->Inc();
+    switch (path) {
+      case ServePath::kDiagMap: {
+        // alpha == 0 degenerates the blend to Diag(q)·(delta·I)·Diag(q):
+        // pure diagonal, so neither the factor rows nor the materialized
+        // submatrix is worth building. O(pool) memory, bit-identical
+        // selections vs both (see DiagKernelRep).
+        LKP_TRACE_SPAN("serve.diag_rep_build");
+        LKP_ASSIGN_OR_RETURN(DiagKernelRep rep,
+                             DiagKernelRep::Create(quality, 1.0 - alpha));
+        built->rep = std::make_shared<const DiagKernelRep>(std::move(rep));
+        break;
+      }
+      case ServePath::kDualSample: {
+        // The conditioned kernel is exactly Diag(q) K_S Diag(q) with
+        // K_S = F_S F_S^T, so condition in factor space (ScaleRows) and
+        // build the dual k-DPP — O(n d^2) instead of O(n^3), no n x n
+        // materialization.
+        LKP_TRACE_SPAN("serve.dual_build");
+        LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
+                             LowRankFactor::Create(std::move(thin.rows)));
+        LKP_ASSIGN_OR_RETURN(
+            KDpp kdpp,
+            KDpp::CreateDual(factor.ScaleRows(quality), effective_k));
+        built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
+        break;
+      }
+      case ServePath::kFactorDiagSample: {
+        // 0 < alpha < 1: the conditioned kernel is
+        //   Diag(q)(alpha K_S + (1-alpha) I)Diag(q) = W W^T + D,
+        //   W = sqrt(alpha) Diag(q) F_S,  D = (1-alpha) Diag(q^2).
+        // The factor-diag k-DPP computes the exact full spectrum from
+        // that shape (linalg/factor_diag.h) — never pool x pool.
+        LKP_TRACE_SPAN("serve.factor_diag_build");
+        const int n = static_cast<int>(work.pool.size());
+        const double sqrt_alpha = std::sqrt(alpha);
+        Vector w_scale(n);
+        Vector added(n);
+        for (int i = 0; i < n; ++i) {
+          w_scale[i] = sqrt_alpha * quality[i];
+          added[i] = (1.0 - alpha) * quality[i] * quality[i];
+        }
+        LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
+                             LowRankFactor::Create(std::move(thin.rows)));
+        LKP_ASSIGN_OR_RETURN(
+            KDpp kdpp,
+            KDpp::CreateFactorDiag(factor.ScaleRows(w_scale),
+                                   std::move(added), effective_k));
+        built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
+        break;
+      }
+      case ServePath::kFactorMap: {
+        // Greedy MAP only reads entries, so the blended conditioned
+        // kernel rides as factor + diagonal — O(pool * rank) to build and
+        // store versus O(pool^2 * rank) to materialize, and no
+        // eigendecomposition either way (MAP entries never decompose).
+        LKP_TRACE_SPAN("serve.factor_rep_build");
+        LKP_ASSIGN_OR_RETURN(
+            FactorDiagKernelRep rep,
+            FactorDiagKernelRep::Create(std::move(thin.rows), quality,
+                                        alpha, 1.0 - alpha));
+        built->rep =
+            std::make_shared<const FactorDiagKernelRep>(std::move(rep));
+        break;
+      }
+      case ServePath::kPrimal: {
+        Matrix conditioned;
+        {
+          LKP_TRACE_SPAN("serve.kernel_assemble");
+          Matrix k_sub = source_->PoolSubmatrix(work.pool);
+          k_sub *= alpha;
+          k_sub.AddDiagonal(1.0 - alpha);
+          conditioned = AssembleKernel(quality, k_sub);
+        }
+        if (config_.mode == ServeMode::kSample) {
+          LKP_TRACE_SPAN("serve.eigendecomp");
+          // KDpp keeps its own copy of the kernel, so hand ours over
+          // rather than storing it twice per cache entry.
           LKP_ASSIGN_OR_RETURN(
-              KDpp kdpp,
-              KDpp::CreateDual(factor.ScaleRows(quality), effective_k));
-          built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
-        } else if (config_.mode == ServeMode::kSample) {
-          // 0 < alpha < 1: the conditioned kernel is
-          //   Diag(q)(alpha K_S + (1-alpha) I)Diag(q) = W W^T + D,
-          //   W = sqrt(alpha) Diag(q) F_S,  D = (1-alpha) Diag(q^2).
-          // The factor-diag k-DPP computes the exact full spectrum from
-          // that shape (linalg/factor_diag.h) — never pool x pool.
-          LKP_TRACE_SPAN("serve.factor_diag_build");
-          PathTotal(ServePath::kFactorDiagSample)->Inc();
-          const int n = static_cast<int>(work.pool.size());
-          const double sqrt_alpha = std::sqrt(alpha);
-          Vector w_scale(n);
-          Vector added(n);
-          for (int i = 0; i < n; ++i) {
-            w_scale[i] = sqrt_alpha * quality[i];
-            added[i] = (1.0 - alpha) * quality[i] * quality[i];
-          }
-          LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
-                               LowRankFactor::Create(std::move(thin.rows)));
-          LKP_ASSIGN_OR_RETURN(
-              KDpp kdpp,
-              KDpp::CreateFactorDiag(factor.ScaleRows(w_scale),
-                                     std::move(added), effective_k));
+              KDpp kdpp, KDpp::Create(std::move(conditioned), effective_k));
           built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
         } else {
-          // Greedy MAP only reads entries, so the blended conditioned
-          // kernel rides as factor + diagonal — O(pool * rank) to build
-          // and store versus O(pool^2 * rank) to materialize, and no
-          // eigendecomposition either way (MAP entries never decompose).
-          LKP_TRACE_SPAN("serve.factor_rep_build");
-          EigSkippedTotal()->Inc();
-          PathTotal(ServePath::kFactorMap)->Inc();
-          LKP_ASSIGN_OR_RETURN(
-              FactorDiagKernelRep rep,
-              FactorDiagKernelRep::Create(std::move(thin.rows), quality,
-                                          alpha, 1.0 - alpha));
-          built->rep =
-              std::make_shared<const FactorDiagKernelRep>(std::move(rep));
+          built->rep = std::make_shared<const PrimalKernelRep>(
+              std::move(conditioned));
         }
-        return std::shared_ptr<const ServedKernel>(std::move(built));
+        break;
       }
-      ApproxFallbackTotal()->Inc();
-    }
-    Matrix conditioned;
-    {
-      LKP_TRACE_SPAN("serve.kernel_assemble");
-      Matrix k_sub = source_->PoolSubmatrix(work.pool);
-      k_sub *= alpha;
-      k_sub.AddDiagonal(1.0 - alpha);
-      conditioned = AssembleKernel(quality, k_sub);
-    }
-    PathTotal(ServePath::kPrimal)->Inc();
-    if (config_.mode == ServeMode::kSample) {
-      LKP_TRACE_SPAN("serve.eigendecomp");
-      PrimalPathTotal()->Inc();
-      // KDpp keeps its own copy of the kernel, so hand ours over rather
-      // than storing it twice per cache entry.
-      LKP_ASSIGN_OR_RETURN(
-          KDpp kdpp, KDpp::Create(std::move(conditioned), effective_k));
-      built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
-    } else {
-      EigSkippedTotal()->Inc();
-      PrimalPathTotal()->Inc();
-      built->rep = std::make_shared<const PrimalKernelRep>(
-          std::move(conditioned));
     }
     return std::shared_ptr<const ServedKernel>(std::move(built));
   };
@@ -441,29 +384,21 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
   return work;
 }
 
-bool RecommendationService::IsDualEligible(
+ServePath RecommendationService::ChoosePath(
     const std::vector<int>& pool) const {
-  // Thin sampling needs a factor thinner than the pool and a nonzero
-  // diversity blend: alpha == 1 serves through the low-rank dual,
-  // 0 < alpha < 1 through the exact factor-plus-diagonal spectrum
-  // (linalg/factor_diag.h) — the full-rank diagonal the blend adds is no
-  // longer a blocker. alpha == 0 stays primal: the kernel degenerates to
-  // a diagonal and the primal build is already trivial there.
-  const int rank = source_->ThinRank(static_cast<int>(pool.size()));
-  return !config_.force_primal && config_.kernel_blend_alpha > 0.0 &&
-         rank > 0 && rank < static_cast<int>(pool.size());
-}
-
-bool RecommendationService::UseFactorRep(const std::vector<int>& pool) const {
-  // MAP rerank reads kernel ENTRIES only, and every entry of the blended
-  // conditioned kernel is computable from the thin factor plus the blend
-  // scalars (FactorDiagKernelRep) — so unlike the sampling paths, any
-  // alpha qualifies. The factor rep wins whenever it is thinner than
-  // the pool: greedy then costs O(k n d + k^2 n) instead of the
-  // O(n^2 d) materialization alone.
-  const int rank = source_->ThinRank(static_cast<int>(pool.size()));
-  return !config_.force_primal && rank > 0 &&
-         rank < static_cast<int>(pool.size());
+  if (config_.force_primal) return ServePath::kPrimal;
+  const bool map = config_.mode == ServeMode::kMapRerank;
+  const double alpha = config_.kernel_blend_alpha;
+  if (alpha == 0.0) return map ? ServePath::kDiagMap : ServePath::kPrimal;
+  // A thin factor wins only when it is thinner than the pool: greedy
+  // then costs O(k n d + k^2 n) instead of the O(n^2 d) materialization,
+  // and a sampling build O(n d^2) (dual) or O(n d) memory (factor-diag)
+  // instead of the O(n^3) eigendecomposition.
+  const int n = static_cast<int>(pool.size());
+  const int rank = source_->ThinRank(n);
+  if (rank <= 0 || rank >= n) return ServePath::kPrimal;
+  if (map) return ServePath::kFactorMap;
+  return alpha == 1.0 ? ServePath::kDualSample : ServePath::kFactorDiagSample;
 }
 
 Result<RecResponse> RecommendationService::SelectTopK(int user,
@@ -477,32 +412,7 @@ Result<RecResponse> RecommendationService::SelectTopK(int user,
     response.latency_ms = work.kernel_ms;
     return response;
   }
-  // Attribute the request to the representation that actually served it.
-  // (The old derivation lumped factor-backed MAP in with dual sampling;
-  // the enum keeps every path distinct, and dual_path stays as the
-  // coarse thin-vs-materialized bool.)
-  if (work.entry->kdpp != nullptr) {
-    response.path = work.entry->kdpp->is_dual()
-                        ? ServePath::kDualSample
-                        : work.entry->kdpp->is_factor_diag()
-                              ? ServePath::kFactorDiagSample
-                              : ServePath::kPrimal;
-  } else if (work.entry->rep != nullptr) {
-    switch (work.entry->rep->kind()) {
-      case KernelRepKind::kFactorDiag:
-        response.path = ServePath::kFactorMap;
-        break;
-      case KernelRepKind::kDiag:
-        response.path = ServePath::kDiagMap;
-        break;
-      case KernelRepKind::kPrimal:
-        response.path = ServePath::kPrimal;
-        break;
-    }
-  }
-  response.dual_path = response.path == ServePath::kDualSample ||
-                       response.path == ServePath::kFactorDiagSample ||
-                       response.path == ServePath::kFactorMap;
+  response.path = work.entry->path;
   const int effective_k =
       std::min(config_.top_k, static_cast<int>(work.pool.size()));
 

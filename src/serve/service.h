@@ -94,21 +94,6 @@ enum class ServeMode {
 
 const char* ServeModeName(ServeMode mode);
 
-/// Which kernel representation actually served a request. The thin
-/// representations (everything except kPrimal) never materialize the
-/// pool x pool kernel; all are exact except that approximate sources
-/// (GaussianKernelSource) may back the factor paths within the
-/// configured error budget.
-enum class ServePath {
-  kPrimal,            ///< Materialized conditioned kernel.
-  kDualSample,        ///< Low-rank dual k-DPP (sampling, alpha == 1).
-  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1).
-  kFactorMap,         ///< FactorDiagKernelRep greedy MAP.
-  kDiagMap,           ///< DiagKernelRep greedy MAP (alpha == 0).
-};
-
-const char* ServePathName(ServePath path);
-
 struct ServeConfig {
   ServeMode mode = ServeMode::kMapRerank;
   /// Recommendations per request.
@@ -173,14 +158,9 @@ struct RecResponse {
   /// order; sampling mode: sampled set ordered by descending score.
   std::vector<int> items;
   bool cache_hit = false;
-  /// Exactly which representation served this request.
+  /// Exactly which representation served this request (the cache
+  /// entry's ServedKernel::path, decided once when it was built).
   ServePath path = ServePath::kPrimal;
-  /// True when this request was served from a thin factor-backed
-  /// representation instead of a materialized kernel: kDualSample,
-  /// kFactorDiagSample, or kFactorMap. Derived from `path` — kept for
-  /// callers that only care thin-vs-materialized (kDiagMap is thin too
-  /// but carries no factor, and reports false as it always has).
-  bool dual_path = false;
   double latency_ms = 0.0;
 };
 
@@ -301,22 +281,16 @@ class RecommendationService {
   /// through the cache's deduplicated build path.
   Result<UserWork> PrepareUser(int user, const Vector& scores);
 
-  /// True when this pool's sampling kernel should be built through a
-  /// thin factor path: the dual k-DPP at alpha == 1, the exact
-  /// factor-plus-diagonal k-DPP at 0 < alpha < 1 (see the KernelCache
-  /// note above). Requires a thin factor thinner than the pool and
-  /// alpha > 0 (at alpha == 0 the blend is pure diagonal and the primal
-  /// build is already trivial). Approximate sources additionally pass
-  /// through the per-pool error-budget gate at build time.
-  bool IsDualEligible(const std::vector<int>& pool) const;
-
-  /// True when this pool's MAP-rerank kernel should be held as a
-  /// FactorDiagKernelRep instead of materialized. Unlike UseDualPath,
-  /// ANY blend alpha qualifies — greedy MAP only reads kernel entries,
-  /// and every entry of Diag(q)(alpha*K + (1-alpha)*I)Diag(q) is
-  /// computable from the thin factor. Profitable when the factor is
-  /// thinner than the pool.
-  bool UseFactorRep(const std::vector<int>& pool) const;
+  /// The representation a cold build of this pool's kernel wants,
+  /// before the approximate-source error-budget gate (which can only
+  /// demote a thin path to kPrimal). force_primal pins kPrimal. MAP at
+  /// alpha == 0 takes kDiagMap: the blend is pure diagonal. Otherwise a
+  /// thin path needs a factor thinner than the pool: MAP takes
+  /// kFactorMap for any alpha (greedy only reads entries, all of which
+  /// the factor plus blend scalars reproduce); sampling takes
+  /// kDualSample at alpha == 1 and kFactorDiagSample at 0 < alpha < 1,
+  /// and stays primal at alpha == 0, where the primal build is trivial.
+  ServePath ChoosePath(const std::vector<int>& pool) const;
 
   /// Distills one request's top-k list from its user's prepared kernel.
   Result<RecResponse> SelectTopK(int user, const UserWork& work, Rng* rng);

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dpp.h"
 #include "core/kdpp.h"
 #include "kernels/quality_diversity.h"
 #include "testing_util.h"
@@ -232,8 +231,6 @@ TEST_P(DualRankSweep, KDppNormalizersAndMarginalsAgree) {
     ASSERT_TRUE(primal.ok()) << primal.status().ToString();
     auto dual = KDpp::CreateDual(f, k);
     ASSERT_TRUE(dual.ok()) << dual.status().ToString();
-    EXPECT_TRUE(dual->is_dual());
-    EXPECT_FALSE(primal->is_dual());
     EXPECT_EQ(primal->ground_size(), n);
     EXPECT_EQ(dual->ground_size(), n);
 
@@ -287,47 +284,6 @@ TEST_P(DualRankSweep, KDppSampleStreamsAreBitIdentical) {
   }
 }
 
-TEST_P(DualRankSweep, DppAgreesAndSamplesIdentically) {
-  const auto [n, d, seed] = GetParam();
-  const LowRankFactor f = MakeFactor(n, d, seed);
-  auto primal = Dpp::Create(f.Materialize());
-  ASSERT_TRUE(primal.ok());
-  auto dual = Dpp::CreateDual(f);
-  ASSERT_TRUE(dual.ok());
-  EXPECT_TRUE(dual->is_dual());
-  EXPECT_EQ(dual->ground_size(), n);
-
-  const double lz_p = primal->LogNormalizer();
-  EXPECT_NEAR(lz_p, dual->LogNormalizer(),
-              kTol * std::max(1.0, std::fabs(lz_p)));
-  EXPECT_NEAR(primal->ExpectedSize(), dual->ExpectedSize(), kTol * d);
-  const Vector diag_p = primal->MarginalDiagonal();
-  const Vector diag_d = dual->MarginalDiagonal();
-  const Matrix mk_p = primal->MarginalKernel();
-  const Matrix mk_d = dual->MarginalKernel();
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(diag_p[i], diag_d[i], kTol);
-    EXPECT_NEAR(mk_p(i, i), diag_p[i], kTol);
-    for (int j = 0; j < n; ++j) {
-      EXPECT_NEAR(mk_p(i, j), mk_d(i, j), kTol);
-    }
-  }
-
-  // The dual sampler burns the primal's zero-eigenvalue draws, so the
-  // streams coincide subset-for-subset.
-  Rng master_p(seed ^ 0xD1B2ULL);
-  Rng master_d(seed ^ 0xD1B2ULL);
-  for (int t = 0; t < 200; ++t) {
-    Rng fork_p = master_p.Fork();
-    Rng fork_d = master_d.Fork();
-    auto sample_p = primal->Sample(&fork_p);
-    auto sample_d = dual->Sample(&fork_d);
-    ASSERT_TRUE(sample_p.ok());
-    ASSERT_TRUE(sample_d.ok());
-    EXPECT_EQ(*sample_p, *sample_d) << "draw " << t;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Ranks, DualRankSweep,
     ::testing::Values(DualCase{48, 1, 101}, DualCase{48, 2, 202},
@@ -359,32 +315,6 @@ TEST(DualKDppTest, EnumeratedProbabilitiesAgreeAndSumToOne) {
     total += (*probs_d)[i].second;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(DualDppTest, LogProbAgreesIncludingEmptySet) {
-  const LowRankFactor f = MakeFactor(9, 3, 77);
-  auto primal = Dpp::Create(f.Materialize());
-  ASSERT_TRUE(primal.ok());
-  auto dual = Dpp::CreateDual(f);
-  ASSERT_TRUE(dual.ok());
-  const std::vector<std::vector<int>> subsets{
-      {}, {0}, {4}, {2, 7}, {0, 3, 8}, {1, 2, 5}};
-  for (const auto& s : subsets) {
-    auto lp_p = primal->LogProb(s);
-    auto lp_d = dual->LogProb(s);
-    ASSERT_TRUE(lp_p.ok());
-    ASSERT_TRUE(lp_d.ok());
-    EXPECT_NEAR(*lp_p, *lp_d, kTol * std::max(1.0, std::fabs(*lp_p)));
-  }
-  // A subset larger than the rank has probability zero: the Gram of 4
-  // rows of a rank-3 factor is exactly singular.
-  auto lp = dual->LogProb({0, 1, 2, 3});
-  ASSERT_TRUE(lp.ok());
-  EXPECT_EQ(*lp, -std::numeric_limits<double>::infinity());
-  // Error paths validate identically.
-  EXPECT_FALSE(dual->LogProb({0, 0}).ok());
-  EXPECT_FALSE(dual->LogProb({-1}).ok());
-  EXPECT_FALSE(dual->LogProb({9}).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -609,34 +539,14 @@ TEST(DualEdgeCaseTest, TinyScalesSampleIdentically) {
 
 TEST(DualEdgeCaseTest, WideFactorAgreesAndSamplesIdentically) {
   // d > n: more embedding dimensions than items. C is d x d with d - n
-  // structural zeros beyond L's spectrum; the Dpp sampler must skip
-  // those (consuming nothing) so both representations still burn
-  // exactly n phase-1 draws, and the k-DPP walk must normalize and
-  // sample identically.
+  // structural zeros beyond L's spectrum; the k-DPP walk must normalize
+  // and sample identically.
   const int n = 5;
   const int d = 9;
   const LowRankFactor f = MakeFactor(n, d, 83);
   auto dual_eig = f.EigenDual();
   ASSERT_TRUE(dual_eig.ok());
   EXPECT_LE(CountPositive(dual_eig->eigenvalues), n);
-
-  auto primal_dpp = Dpp::Create(f.Materialize());
-  auto dual_dpp = Dpp::CreateDual(f);
-  ASSERT_TRUE(primal_dpp.ok());
-  ASSERT_TRUE(dual_dpp.ok());
-  EXPECT_NEAR(primal_dpp->LogNormalizer(), dual_dpp->LogNormalizer(),
-              kTol * std::max(1.0, std::fabs(primal_dpp->LogNormalizer())));
-  Rng master_p(29);
-  Rng master_d(29);
-  for (int t = 0; t < 100; ++t) {
-    Rng fork_p = master_p.Fork();
-    Rng fork_d = master_d.Fork();
-    auto sp = primal_dpp->Sample(&fork_p);
-    auto sd = dual_dpp->Sample(&fork_d);
-    ASSERT_TRUE(sp.ok());
-    ASSERT_TRUE(sd.ok());
-    EXPECT_EQ(*sp, *sd) << "draw " << t;
-  }
 
   const int k = 3;
   auto primal = KDpp::Create(f.Materialize(), k);

@@ -1,6 +1,6 @@
 // Differential campaign for the factor-plus-diagonal representation:
 // FactorDiagSpectrum / FactorDiagEigenvectors against the dense
-// SymmetricEigen oracle, Dpp/KDpp::CreateFactorDiag against the primal
+// SymmetricEigen oracle, KDpp::CreateFactorDiag against the primal
 // blend build, and the serving layer's factor-diag sampling path against
 // the forced-primal oracle — including the allocation probe proving the
 // pool x pool kernel is never materialized, per-path attribution, the
@@ -11,14 +11,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/dpp.h"
 #include "core/kdpp.h"
 #include "data/synthetic.h"
 #include "linalg/eigen.h"
@@ -258,8 +259,6 @@ TEST_P(BlendSweep, KDppAgreesWithPrimalEverywhere) {
     auto factor_diag =
         KDpp::CreateFactorDiag(MakeLowRank(fd.w), std::move(diag_copy), k);
     ASSERT_TRUE(factor_diag.ok()) << factor_diag.status().ToString();
-    EXPECT_TRUE(factor_diag->is_factor_diag());
-    EXPECT_FALSE(factor_diag->is_dual());
     EXPECT_EQ(factor_diag->ground_size(), n);
 
     const double lz_p = primal->LogNormalizer();
@@ -310,56 +309,6 @@ TEST_P(BlendSweep, KDppAgreesWithPrimalEverywhere) {
           << "draw " << t << " diverged (alpha=" << alpha << ", d=" << d
           << ", k=" << k << ")";
     }
-  }
-}
-
-TEST_P(BlendSweep, DppAgreesWithPrimal) {
-  const auto [alpha, d, seed] = GetParam();
-  const int n = 24;
-  Rng rng(seed ^ 0xD99ULL);
-  const Matrix v = testutil::RandomMatrix(n, d, &rng);
-  Vector q(n);
-  for (int i = 0; i < n; ++i) q[i] = std::exp(0.5 * rng.Normal());
-  const BlendPieces fd = BlendFactorDiag(v, q, alpha);
-
-  auto primal = Dpp::Create(BlendKernel(v, q, alpha));
-  ASSERT_TRUE(primal.ok()) << primal.status().ToString();
-  Vector diag_copy = fd.diag;
-  auto factor_diag =
-      Dpp::CreateFactorDiag(MakeLowRank(fd.w), std::move(diag_copy));
-  ASSERT_TRUE(factor_diag.ok()) << factor_diag.status().ToString();
-  EXPECT_TRUE(factor_diag->is_factor_diag());
-
-  const double lz_p = primal->LogNormalizer();
-  EXPECT_NEAR(lz_p, factor_diag->LogNormalizer(),
-              kTol * std::max(1.0, std::fabs(lz_p)));
-  EXPECT_NEAR(primal->ExpectedSize(), factor_diag->ExpectedSize(), 1e-8);
-  const Vector diag_p = primal->MarginalDiagonal();
-  const Vector diag_f = factor_diag->MarginalDiagonal();
-  const Matrix mk_p = primal->MarginalKernel();
-  const Matrix mk_f = factor_diag->MarginalKernel();
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(diag_p[i], diag_f[i], 1e-8);
-    for (int j = 0; j < n; ++j) EXPECT_NEAR(mk_p(i, j), mk_f(i, j), 1e-8);
-  }
-  for (const auto& s :
-       std::vector<std::vector<int>>{{}, {0}, {2, 7}, {1, 5, 9}}) {
-    auto lp_p = primal->LogProb(s);
-    auto lp_f = factor_diag->LogProb(s);
-    ASSERT_TRUE(lp_p.ok());
-    ASSERT_TRUE(lp_f.ok());
-    EXPECT_NEAR(*lp_p, *lp_f, 1e-8 * std::max(1.0, std::fabs(*lp_p)));
-  }
-  Rng master_p(seed ^ 0xFD02ULL);
-  Rng master_f(seed ^ 0xFD02ULL);
-  for (int t = 0; t < 100; ++t) {
-    Rng fork_p = master_p.Fork();
-    Rng fork_f = master_f.Fork();
-    auto sp = primal->Sample(&fork_p);
-    auto sf = factor_diag->Sample(&fork_f);
-    ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-    ASSERT_TRUE(sf.ok()) << sf.status().ToString();
-    EXPECT_EQ(*sp, *sf) << "draw " << t;
   }
 }
 
@@ -538,9 +487,7 @@ TEST(FactorDiagServeTest, BlendedSamplingMatchesForcedPrimalExactly) {
             << "alpha " << alpha << " batch " << b << " request " << i
             << ": factor-diag and primal sampling diverged";
         EXPECT_EQ((*rp)[i].path, ServePath::kPrimal);
-        EXPECT_FALSE((*rp)[i].dual_path);
         if ((*rf)[i].path == ServePath::kFactorDiagSample) {
-          EXPECT_TRUE((*rf)[i].dual_path);
           ++factor_diag_responses;
         }
       }
@@ -618,95 +565,100 @@ TEST(FactorDiagServeTest, BitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Per-path attribution (regression: factor-backed MAP used to count
-// into lkp_serve_dual_path_total, conflating it with dual sampling)
+// Per-path attribution: the full decision table. Every cell asserts the
+// path on the cold miss, the same path on the warm hit (read back from
+// ServedKernel::path), and exactly one lkp_serve_path_total{path} and one
+// lkp_serve_cache_build_ms{path} observation per build, all on that path.
 
 TEST(FactorDiagServeTest, PathAttributionIsPerRepresentation) {
   ServeWorld* w = World();
-  obs::Counter* legacy_dual = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_dual_path_total");
-  obs::Counter* factor_map = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_path_total{path=\"factor_map\"}");
-  obs::Counter* factor_diag_sample =
-      obs::MetricsRegistry::Global().GetCounter(
-          "lkp_serve_path_total{path=\"factor_diag_sample\"}");
-  obs::Counter* dual_sample = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_path_total{path=\"dual_sample\"}");
+  const ServePath kAllPaths[] = {ServePath::kPrimal, ServePath::kDualSample,
+                                 ServePath::kFactorDiagSample,
+                                 ServePath::kFactorMap, ServePath::kDiagMap};
+  auto path_total = [](ServePath p) {
+    return obs::MetricsRegistry::Global().GetCounter(
+        std::string("lkp_serve_path_total{path=\"") + ServePathName(p) +
+        "\"}");
+  };
+  auto build_ms = [](ServePath p) {
+    return obs::MetricsRegistry::Global().GetHistogram(
+        std::string("lkp_serve_cache_build_ms{path=\"") + ServePathName(p) +
+            "\"}",
+        obs::LatencyBucketsMs());
+  };
+  // The path each (mode, alpha) takes when pools are wider than the
+  // factor rank (8) and when they are narrower; force_primal pins
+  // kPrimal in every cell.
+  struct Row {
+    ServeMode mode;
+    double alpha;
+    ServePath wide_pool;
+    ServePath narrow_pool;
+  };
+  const Row kTable[] = {
+      {ServeMode::kMapRerank, 0.0, ServePath::kDiagMap, ServePath::kDiagMap},
+      {ServeMode::kMapRerank, 0.4, ServePath::kFactorMap, ServePath::kPrimal},
+      {ServeMode::kMapRerank, 1.0, ServePath::kFactorMap, ServePath::kPrimal},
+      {ServeMode::kSample, 0.0, ServePath::kPrimal, ServePath::kPrimal},
+      {ServeMode::kSample, 0.4, ServePath::kFactorDiagSample,
+       ServePath::kPrimal},
+      {ServeMode::kSample, 1.0, ServePath::kDualSample, ServePath::kPrimal},
+  };
+  for (const Row& row : kTable) {
+    for (bool force_primal : {false, true}) {
+      for (int pool_size : {20, 6}) {
+        const ServePath expected =
+            force_primal ? ServePath::kPrimal
+                         : pool_size > 8 ? row.wide_pool : row.narrow_pool;
+        ServeConfig cfg = SampleConfig(row.alpha);
+        cfg.mode = row.mode;
+        cfg.force_primal = force_primal;
+        cfg.pool_size = pool_size;
+        SCOPED_TRACE(std::string(ServeModeName(row.mode)) + " alpha=" +
+                     std::to_string(row.alpha) +
+                     " force_primal=" + std::to_string(force_primal) +
+                     " pool=" + std::to_string(pool_size) +
+                     " expected=" + ServePathName(expected));
+        auto service = RecommendationService::Create(
+            &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
+        ASSERT_TRUE(service.ok());
+        std::vector<long> totals_before;
+        std::vector<long> builds_before;
+        for (ServePath p : kAllPaths) {
+          totals_before.push_back(path_total(p)->Value());
+          builds_before.push_back(build_ms(p)->Count());
+        }
 
-  // MAP with the factor rep: path attribution goes to factor_map and the
-  // legacy dual-sampling counter must NOT move (the old conflation).
-  {
-    ServeConfig cfg = SampleConfig(0.5);
-    cfg.mode = ServeMode::kMapRerank;
-    auto service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
-    ASSERT_TRUE(service.ok());
-    const long dual_before = legacy_dual->Value();
-    const long map_before = factor_map->Value();
-    auto responses = (*service)->HandleBatch(RoundRobinBatch(16, 0));
-    ASSERT_TRUE(responses.ok());
-    bool saw_factor_map = false;
-    for (const RecResponse& r : *responses) {
-      if (r.items.empty()) continue;
-      EXPECT_EQ(r.path, ServePath::kFactorMap);
-      EXPECT_TRUE(r.dual_path);
-      saw_factor_map = true;
-    }
-    EXPECT_TRUE(saw_factor_map);
-    EXPECT_GT(factor_map->Value(), map_before);
-    EXPECT_EQ(legacy_dual->Value(), dual_before)
-        << "factor-backed MAP builds must not count as dual sampling";
-  }
+        const std::vector<RecRequest> batch = RoundRobinBatch(16, 0);
+        auto cold = (*service)->HandleBatch(batch);
+        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+        for (const RecResponse& r : *cold) {
+          if (r.items.empty()) continue;
+          EXPECT_FALSE(r.cache_hit);
+          EXPECT_STREQ(ServePathName(r.path), ServePathName(expected));
+        }
+        const long builds = (*service)->cache().builds();
+        EXPECT_GT(builds, 0);
+        for (size_t i = 0; i < std::size(kAllPaths); ++i) {
+          const long want = kAllPaths[i] == expected ? builds : 0;
+          EXPECT_EQ(path_total(kAllPaths[i])->Value() - totals_before[i],
+                    want)
+              << "lkp_serve_path_total for " << ServePathName(kAllPaths[i]);
+          EXPECT_EQ(build_ms(kAllPaths[i])->Count() - builds_before[i], want)
+              << "lkp_serve_cache_build_ms for "
+              << ServePathName(kAllPaths[i]);
+        }
 
-  // Blended sampling attributes to factor_diag_sample, not dual_sample.
-  {
-    auto service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, nullptr,
-        SampleConfig(0.5));
-    ASSERT_TRUE(service.ok());
-    const long fd_before = factor_diag_sample->Value();
-    const long dual_before = dual_sample->Value();
-    const long legacy_before = legacy_dual->Value();
-    ASSERT_TRUE((*service)->HandleBatch(RoundRobinBatch(16, 0)).ok());
-    EXPECT_GT(factor_diag_sample->Value(), fd_before);
-    EXPECT_EQ(dual_sample->Value(), dual_before);
-    EXPECT_EQ(legacy_dual->Value(), legacy_before);
-  }
-
-  // Pure-diversity sampling still attributes to dual_sample (and the
-  // legacy counter still tracks it).
-  {
-    auto service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, nullptr,
-        SampleConfig(1.0));
-    ASSERT_TRUE(service.ok());
-    const long dual_before = dual_sample->Value();
-    const long legacy_before = legacy_dual->Value();
-    auto responses = (*service)->HandleBatch(RoundRobinBatch(16, 0));
-    ASSERT_TRUE(responses.ok());
-    for (const RecResponse& r : *responses) {
-      if (r.items.empty()) continue;
-      EXPECT_EQ(r.path, ServePath::kDualSample);
-      EXPECT_TRUE(r.dual_path);
-    }
-    EXPECT_GT(dual_sample->Value(), dual_before);
-    EXPECT_GT(legacy_dual->Value(), legacy_before);
-  }
-
-  // MAP at alpha == 0 attributes to diag_map and reports dual_path
-  // false, as before.
-  {
-    ServeConfig cfg = SampleConfig(0.0);
-    cfg.mode = ServeMode::kMapRerank;
-    auto service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
-    ASSERT_TRUE(service.ok());
-    auto responses = (*service)->HandleBatch(RoundRobinBatch(8, 0));
-    ASSERT_TRUE(responses.ok());
-    for (const RecResponse& r : *responses) {
-      if (r.items.empty()) continue;
-      EXPECT_EQ(r.path, ServePath::kDiagMap);
-      EXPECT_FALSE(r.dual_path);
+        auto warm = (*service)->HandleBatch(batch);
+        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+        for (const RecResponse& r : *warm) {
+          if (r.items.empty()) continue;
+          EXPECT_TRUE(r.cache_hit);
+          EXPECT_STREQ(ServePathName(r.path), ServePathName(expected))
+              << "warm hit changed the path";
+        }
+        EXPECT_EQ((*service)->cache().builds(), builds);
+      }
     }
   }
 }

@@ -159,6 +159,26 @@ TEST(MetricsRegistryTest, PrometheusGolden) {
   EXPECT_EQ(registry.DumpPrometheusText(), expected);
 }
 
+TEST(MetricsRegistryTest, PrometheusLabeledHistogramKeepsLabelsOnSuffixes) {
+  obs::MetricsRegistry registry;
+  obs::Histogram* h =
+      registry.GetHistogram("lkp_build_ms{path=\"primal\"}", {1.0});
+  h->Observe(0.5);
+  h->Observe(3.0);
+  registry.GetHistogram("lkp_build_ms{path=\"dual\"}", {1.0});
+  const std::string expected =
+      "# TYPE lkp_build_ms histogram\n"
+      "lkp_build_ms_bucket{path=\"dual\",le=\"1\"} 0\n"
+      "lkp_build_ms_bucket{path=\"dual\",le=\"+Inf\"} 0\n"
+      "lkp_build_ms_sum{path=\"dual\"} 0\n"
+      "lkp_build_ms_count{path=\"dual\"} 0\n"
+      "lkp_build_ms_bucket{path=\"primal\",le=\"1\"} 1\n"
+      "lkp_build_ms_bucket{path=\"primal\",le=\"+Inf\"} 2\n"
+      "lkp_build_ms_sum{path=\"primal\"} 3.5\n"
+      "lkp_build_ms_count{path=\"primal\"} 2\n";
+  EXPECT_EQ(registry.DumpPrometheusText(), expected);
+}
+
 TEST(MetricsRegistryTest, JsonGolden) {
   obs::MetricsRegistry registry;
   registry.GetCounter("lkp_a_total")->Inc(2);

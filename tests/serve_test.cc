@@ -6,6 +6,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -472,8 +473,8 @@ TEST(ServeTest, MapFactorRepMatchesForcedPrimalExactly) {
         EXPECT_EQ((*rf)[i].items, (*rp)[i].items)
             << "alpha " << alpha << " batch " << b << " request " << i
             << ": factor and primal MAP selections diverged";
-        EXPECT_FALSE((*rp)[i].dual_path);
-        if ((*rf)[i].dual_path) ++factor_responses;
+        EXPECT_EQ((*rp)[i].path, ServePath::kPrimal);
+        if ((*rf)[i].path == ServePath::kFactorMap) ++factor_responses;
       }
     }
     // The factor rep actually engaged (rank 8 < pool 20 everywhere).
@@ -497,7 +498,7 @@ TEST(ServeTest, MapFactorRepBitIdenticalAcrossThreadCounts) {
       responses.status().CheckOK();
       for (const RecResponse& r : *responses) {
         all_items.push_back(r.items);
-        saw_factor = saw_factor || r.dual_path;
+        saw_factor = saw_factor || r.path == ServePath::kFactorMap;
       }
     }
     EXPECT_TRUE(saw_factor);
@@ -552,34 +553,47 @@ TEST(ServeTest, RankOneDiversityPoolsAgreeAcrossRepsAndThreads) {
 }
 
 // Satellite: MAP-mode cache entries never eigendecompose — every build
-// bumps lkp_kernel_cache_eig_skipped_total instead, factor and primal
-// alike.
+// lands on a MAP representation (factor_map here, the materialized
+// primal rep under force_primal), and sampling builds never touch the
+// MAP-only paths.
 TEST(ServeTest, MapModeBuildsSkipEigendecomposition) {
   ServeWorld* w = World();
-  obs::Counter* skipped = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_kernel_cache_eig_skipped_total");
+  auto path_total = [](const char* path) {
+    return obs::MetricsRegistry::Global().GetCounter(
+        std::string("lkp_serve_path_total{path=\"") + path + "\"}");
+  };
+  obs::Counter* factor_map = path_total("factor_map");
+  obs::Counter* diag_map = path_total("diag_map");
+  obs::Counter* primal = path_total("primal");
   for (bool force_primal : {false, true}) {
     ServeConfig cfg = BaseConfig(ServeMode::kMapRerank);
     cfg.force_primal = force_primal;
     auto service = RecommendationService::Create(
         &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
     ASSERT_TRUE(service.ok());
-    const long before = skipped->Value();
-    ASSERT_TRUE((*service)->HandleBatch(RoundRobinBatch(16, 0)).ok());
-    const long skipped_delta = skipped->Value() - before;
-    EXPECT_EQ(skipped_delta, (*service)->cache().builds())
+    obs::Counter* counter = force_primal ? primal : factor_map;
+    const long before = counter->Value();
+    auto responses = (*service)->HandleBatch(RoundRobinBatch(16, 0));
+    ASSERT_TRUE(responses.ok());
+    for (const RecResponse& r : *responses) {
+      if (r.items.empty()) continue;
+      EXPECT_EQ(r.path,
+                force_primal ? ServePath::kPrimal : ServePath::kFactorMap);
+    }
+    const long delta = counter->Value() - before;
+    EXPECT_EQ(delta, (*service)->cache().builds())
         << "force_primal=" << force_primal
-        << ": every MAP build must skip the eigendecomposition";
-    EXPECT_GT(skipped_delta, 0);
+        << ": every MAP build must be attributed to its MAP representation";
+    EXPECT_GT(delta, 0);
   }
-  // Sampling-mode builds DO decompose and must not touch the counter.
+  // Sampling-mode builds DO decompose and must not touch the MAP paths.
   auto sampling = RecommendationService::Create(
       &w->dataset, w->model.get(), &w->diversity, nullptr,
       BaseConfig(ServeMode::kSample));
   ASSERT_TRUE(sampling.ok());
-  const long before = skipped->Value();
+  const long before = factor_map->Value() + diag_map->Value();
   ASSERT_TRUE((*sampling)->HandleBatch(RoundRobinBatch(8, 0)).ok());
-  EXPECT_EQ(skipped->Value(), before);
+  EXPECT_EQ(factor_map->Value() + diag_map->Value(), before);
 }
 
 TEST(ServeTest, ServingPoolIsScoreSortedAndUnobserved) {
@@ -730,8 +744,8 @@ TEST(ServeTest, DualPathMatchesForcedPrimalExactly) {
       EXPECT_EQ((*rd)[i].items, (*rp)[i].items)
           << "batch " << b << " request " << i
           << ": dual and primal representations diverged";
-      EXPECT_FALSE((*rp)[i].dual_path);
-      if ((*rd)[i].dual_path) ++dual_responses;
+      EXPECT_EQ((*rp)[i].path, ServePath::kPrimal);
+      if ((*rd)[i].path == ServePath::kDualSample) ++dual_responses;
     }
   }
   // The dual path actually engaged (rank 8 < pool 20 everywhere).
@@ -754,7 +768,7 @@ TEST(ServeTest, DualPathBitIdenticalAcrossThreadCounts) {
       responses.status().CheckOK();
       for (const RecResponse& r : *responses) {
         all_items.push_back(r.items);
-        saw_dual = saw_dual || r.dual_path;
+        saw_dual = saw_dual || r.path == ServePath::kDualSample;
       }
     }
     EXPECT_TRUE(saw_dual);
@@ -791,7 +805,7 @@ TEST(ServeTest, DualEntriesSurviveLruEvictionChurn) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ((*churned)[i].items, (*golden)[i].items)
         << "eviction churn changed a dual-path recommendation";
-    EXPECT_TRUE((*churned)[i].dual_path);
+    EXPECT_EQ((*churned)[i].path, ServePath::kDualSample);
   }
   EXPECT_LE((*service)->cache().size(), 1);
   EXPECT_GT((*service)->cache().evictions(), 0);
@@ -875,7 +889,7 @@ TEST(ServeTest, MixedDualAndPrimalEntriesShareOneCacheCorrectly) {
   for (const RecResponse& r : *cold) {
     EXPECT_FALSE(r.cache_hit);
     if (r.items.empty()) continue;
-    (r.dual_path ? saw_dual : saw_primal) = true;
+    (r.path == ServePath::kDualSample ? saw_dual : saw_primal) = true;
   }
   EXPECT_TRUE(saw_dual) << "no pool exceeded the factor rank";
   EXPECT_TRUE(saw_primal) << "no pool stayed under the factor rank";
@@ -888,7 +902,7 @@ TEST(ServeTest, MixedDualAndPrimalEntriesShareOneCacheCorrectly) {
     const RecResponse& r = (*warm)[i];
     if (r.items.empty()) continue;
     EXPECT_TRUE(r.cache_hit) << "user " << r.user;
-    EXPECT_EQ(r.dual_path, (*cold)[i].dual_path)
+    EXPECT_EQ(r.path, (*cold)[i].path)
         << "cache hit changed representation for user " << r.user;
     std::set<int> distinct(r.items.begin(), r.items.end());
     EXPECT_EQ(distinct.size(), r.items.size());
@@ -1412,7 +1426,7 @@ TEST(ServeTest, DeadlineZeroDispatchesImmediatelyWithoutSkips) {
 TEST(ServeTest, AlphaZeroDiagPathMatchesForcedPrimalOracle) {
   ServeWorld* w = World();
   obs::Counter* diag_total = obs::MetricsRegistry::Global().GetCounter(
-      "lkp_serve_diag_path_total");
+      "lkp_serve_path_total{path=\"diag_map\"}");
   ServeConfig diag_cfg = BaseConfig(ServeMode::kMapRerank);
   diag_cfg.kernel_blend_alpha = 0.0;
   ServeConfig primal_cfg = diag_cfg;
