@@ -22,14 +22,23 @@
 // (materialize Diag(q)(alpha V V^T + (1-alpha) I)Diag(q)) vs
 // factor-plus-diagonal (KDpp::CreateFactorDiag through the rank-d
 // diagonal-update spectrum — O(n d) memory, never n x n). Its rows add
-// a peak-allocation column from the matrix_probe and its verdicts use
-// distinct strings (BLEND VIOLATION / BLEND UNVERIFIED) so
-// record_baseline.sh can gate the two sections independently.
+// per-draw sampling times and a peak-allocation column from the
+// matrix_probe, and its verdicts use distinct strings (BLEND VIOLATION /
+// BLEND UNVERIFIED) so record_baseline.sh can gate the two sections
+// independently. It ends with two crossover lines, each the smallest
+// timed (alpha=0.5) shape that qualifies, as kappa = n / d^2, or "none":
+// one where factor-diag beats primal on both build and per-draw time,
+// and one where it beats primal on a cold request (build plus one
+// draw). Serving's factor-diag threshold
+// (RecommendationService::kFactorDiagSampleKappa) is the second: a
+// factor-diag draw runs the primal's elementary-DPP walk plus k
+// on-demand eigenvector columns, so it never wins per draw.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -53,48 +62,83 @@ Matrix RandomFactor(int n, int d, uint64_t seed) {
 // Times `build` best-of-`reps` and hands the final rep's object back
 // through `last`, so the agreement checks below reuse it instead of
 // paying another O(n^3) construction (at n=4096 a primal build is
-// minutes — rebuilding it once more would double the sweep).
+// minutes — rebuilding it once more would double the sweep). Past three
+// reps it stops once a second of builds has accumulated, so many-rep
+// rows only pay for their extra reps where builds are fast.
 template <typename Build, typename T>
 double BestOfMillis(const Build& build, int reps, T* last) {
   double best = 1e300;
+  double total = 0.0;
   for (int r = 0; r < reps; ++r) {
     Stopwatch sw;
     auto made = build();
-    best = std::min(best, sw.ElapsedMillis());
+    const double ms = sw.ElapsedMillis();
+    best = std::min(best, ms);
+    total += ms;
     made.status().CheckOK();
-    if (r == reps - 1) *last = std::move(made).ValueOrDie();
+    if (r == reps - 1 || (r >= 2 && total >= 1000.0)) {
+      *last = std::move(made).ValueOrDie();
+      break;
+    }
   }
   return best;
 }
 
+// Mean microseconds per draw over `draws` Rng::Fork streams of `master`,
+// with the drawn subsets appended to `out` for the agreement check.
+double MeanDrawMicros(const KDpp& kdpp, uint64_t master_seed, int draws,
+                      std::vector<std::vector<int>>* out) {
+  Rng master(master_seed);
+  Stopwatch sw;
+  for (int t = 0; t < draws; ++t) {
+    Rng fork = master.Fork();
+    auto s = kdpp.Sample(&fork);
+    s.status().CheckOK();
+    out->push_back(std::move(s).ValueOrDie());
+  }
+  return sw.ElapsedMillis() * 1e3 / draws;
+}
+
 // Blended-kernel sweep: Diag(q)(alpha V V^T + (1-alpha) I)Diag(q) built
 // primally vs as W W^T + D (W = sqrt(alpha) Diag(q) V, D = (1-alpha) q^2).
-// Shapes are capped at n=1024: the factor-diag spectrum is O(n^2 d^2)
-// time (its win is O(n d) memory, not wall time), so the n=4096 primal
-// row would be benchmarking two deliberately slow paths against each
-// other. Returns 0 on full agreement, 1 otherwise.
+// The factor-diag spectrum is O(n^2 d^2) time against the primal
+// O(n^3), so the sweep runs from serving-sized pools (n=32) up to n=2048
+// at d=16, where the build crossover is expected; each factor-diag draw
+// additionally materializes k eigenvectors at O(n d^2) apiece on top of
+// the elementary-DPP walk both representations share. Returns 0 on full
+// agreement, 1 otherwise.
 int RunBlend(int max_n) {
   const int k = 10;
   std::printf("\nblended kernel: primal vs factor-plus-diagonal (k=%d)\n", k);
   std::printf("primal:      materialize Diag(q)(aVV^T+(1-a)I)Diag(q) "
               "+ KDpp::Create\n");
   std::printf("factor-diag: KDpp::CreateFactorDiag (rank-d diagonal "
-              "update, O(nd) memory)\n\n");
-  std::printf("%6s %5s %6s %6s %12s %12s %10s %10s %11s %11s %8s\n", "n", "d",
-              "alpha", "reps", "primal_ms", "fdiag_ms", "peak_p", "peak_fd",
-              "dlogz_rel", "dmarg_rel", "streams");
+              "update, O(nd) memory)\n");
+  std::printf("build: best-of-reps ms (reps is the cap; past 3 reps a "
+              "side stops after 1 s of builds); draw: mean us per "
+              "Sample\n\n");
+  std::printf("%6s %5s %6s %6s %12s %12s %12s %12s %10s %10s %11s %11s "
+              "%8s\n",
+              "n", "d", "alpha", "reps", "primal_ms", "fdiag_ms",
+              "p_draw_us", "fd_draw_us", "peak_p", "peak_fd", "dlogz_rel",
+              "dmarg_rel", "streams");
 
   struct Shape {
     int n;
     int d;
   };
+  const Shape kShapes[] = {{32, 16},   {32, 64},   {64, 16},  {64, 64},
+                           {128, 16},  {128, 64},  {256, 16}, {256, 64},
+                           {1024, 16}, {2048, 16}};
   bool agree = true;
   int shapes_run = 0;
-  for (const Shape shape : {Shape{256, 16}, Shape{256, 64}, Shape{1024, 16}}) {
+  const Shape* crossover_both = nullptr;
+  const Shape* crossover_cold = nullptr;
+  for (const Shape& shape : kShapes) {
     const int n = shape.n;
     const int d = shape.d;
     if (n > max_n) {
-      std::printf("(n=%d skipped: LKP_DUAL_MAX_N=%d)\n", n, max_n);
+      std::printf("(n=%d d=%d skipped: LKP_DUAL_MAX_N=%d)\n", n, d, max_n);
       continue;
     }
     const Matrix v = RandomFactor(n, d, 9500 + n + d);
@@ -103,7 +147,9 @@ int RunBlend(int max_n) {
     for (int i = 0; i < n; ++i) q[i] = std::exp(0.3 * qrng.Normal());
 
     // alpha=0.5 is the timed row; the outer alphas re-check exactness
-    // near the blend's endpoints with a single rep each.
+    // near the blend's endpoints with a single rep each. Small pools
+    // take more reps and draws so the timings clear timer noise; n=2048
+    // builds are seconds each, so one rep is the measurement.
     for (double alpha : {0.25, 0.5, 0.99}) {
       Matrix w = v;
       const double sqrt_alpha = std::sqrt(alpha);
@@ -113,7 +159,9 @@ int RunBlend(int max_n) {
       Vector added(n);
       for (int i = 0; i < n; ++i) added[i] = (1.0 - alpha) * q[i] * q[i];
 
-      const int reps = alpha == 0.5 ? 3 : 1;
+      const bool timed = alpha == 0.5;
+      const int reps = !timed ? 1 : n <= 128 ? 20 : n <= 1024 ? 3 : 1;
+      const int draws = n <= 256 ? 100 : 10;
       std::optional<KDpp> primal;
       std::optional<KDpp> fdiag;
       matrix_probe::Arm();
@@ -151,34 +199,60 @@ int RunBlend(int max_n) {
                                     std::max(1e-12, std::fabs(diag_p[i])));
       }
 
+      // Shared Rng::Fork discipline: the streams must be identical
+      // subset-for-subset, not just equidistributed.
+      std::vector<std::vector<int>> draws_p;
+      std::vector<std::vector<int>> draws_f;
+      const double primal_draw_us =
+          MeanDrawMicros(*primal, 79, draws, &draws_p);
+      const double fdiag_draw_us = MeanDrawMicros(*fdiag, 79, draws, &draws_f);
       int equal_draws = 0;
-      const int draws = 10;
-      Rng master_p(79);
-      Rng master_f(79);
       for (int t = 0; t < draws; ++t) {
-        Rng fork_p = master_p.Fork();
-        Rng fork_f = master_f.Fork();
-        auto sp = primal->Sample(&fork_p);
-        auto sf = fdiag->Sample(&fork_f);
-        sp.status().CheckOK();
-        sf.status().CheckOK();
-        if (*sp == *sf) ++equal_draws;
+        const size_t i = static_cast<size_t>(t);
+        if (draws_p[i] == draws_f[i]) ++equal_draws;
       }
 
       // The memory claim is part of the verdict: the factor-diag build
-      // must never have constructed an n x n matrix.
+      // must stay within its O(n d + d^2) footprint — never an n x n
+      // matrix when d < n (at d >= n the d x d capacitance is the floor).
+      const long footprint =
+          std::max(static_cast<long>(n) * d, static_cast<long>(d) * d);
       const bool row_ok = dlogz <= 1e-10 && dmarg <= 1e-8 &&
-                          equal_draws == draws &&
-                          peak_fdiag < static_cast<long>(n) * n;
+                          equal_draws == draws && peak_fdiag <= footprint;
       if (!row_ok) agree = false;
+      if (timed && crossover_both == nullptr && fdiag_ms < primal_ms &&
+          fdiag_draw_us < primal_draw_us) {
+        crossover_both = &shape;
+      }
+      const double cold_fdiag_ms = fdiag_ms + fdiag_draw_us * 1e-3;
+      const double cold_primal_ms = primal_ms + primal_draw_us * 1e-3;
+      if (timed && crossover_cold == nullptr &&
+          cold_fdiag_ms < cold_primal_ms) {
+        crossover_cold = &shape;
+      }
       ++shapes_run;
-      std::printf("%6d %5d %6.2f %6d %12.2f %12.2f %10ld %10ld %11.2e "
-                  "%11.2e %5d/%d\n",
-                  n, d, alpha, reps, primal_ms, fdiag_ms, peak_primal,
-                  peak_fdiag, dlogz, dmarg, equal_draws, draws);
+      std::printf("%6d %5d %6.2f %6d %12.3f %12.3f %12.2f %12.2f %10ld "
+                  "%10ld %11.2e %11.2e %5d/%d\n",
+                  n, d, alpha, reps, primal_ms, fdiag_ms, primal_draw_us,
+                  fdiag_draw_us, peak_primal, peak_fdiag, dlogz, dmarg,
+                  equal_draws, draws);
+      std::fflush(stdout);
     }
   }
 
+  auto print_crossover = [](const char* name, const Shape* shape) {
+    if (shape == nullptr) {
+      std::printf("crossover %s: none\n", name);
+      return;
+    }
+    std::printf("crossover %s: n=%d d=%d kappa=%.3f\n", name, shape->n,
+                shape->d,
+                static_cast<double>(shape->n) /
+                    (static_cast<double>(shape->d) * shape->d));
+  };
+  std::printf("\n");
+  print_crossover("build_and_draw", crossover_both);
+  print_crossover("cold_request", crossover_cold);
   if (shapes_run == 0) {
     std::printf("\nBLEND UNVERIFIED: LKP_DUAL_MAX_N=%d trimmed every "
                 "shape\n", max_n);
@@ -186,12 +260,13 @@ int RunBlend(int max_n) {
   }
   if (!agree) {
     std::printf("\nBLEND VIOLATION: factor-diag and primal blended k-DPPs "
-                "disagree (or an n x n matrix was materialized)\n");
+                "disagree (or a build exceeded the O(nd + d^2) "
+                "footprint)\n");
     return 1;
   }
   std::printf("\nblended factor-diag and primal agree on every shape "
-              "(normalizers, marginals, bit-identical streams, no n x n "
-              "allocation)\n");
+              "(normalizers, marginals, bit-identical streams, no "
+              "allocation beyond O(nd + d^2))\n");
   return 0;
 }
 

@@ -24,8 +24,17 @@
 // LKP_SERVE_REQUESTS (trace length, default 2000), LKP_SCALE is unused
 // here (the population knob replaces it). With LKP_SCALING_GATE=1 the
 // binary exits non-zero unless the 8-thread cold speedup reaches
-// 4.0 * min(cores, 8) / 8 in each mode; machines with fewer than 2
-// cores skip the gate loudly instead of failing it.
+// 4.0 * min(cores, 8) / 8 in each mode (machines with fewer than 2
+// cores skip that half loudly instead of failing it), or when the
+// path gate below fails.
+//
+// Path gate: sample mode at the default config runs through the
+// auto-selected representation and through force_primal in this same
+// process, cold and warm, at 1 thread, taking turns batch by batch
+// over the trace served four times. Both must serve bit-identical
+// lists, and under LKP_SCALING_GATE=1 auto must reach at least 90% of
+// force_primal's req/s. Thread-scaling ratios cannot catch
+// a slow path that scales well; this same-box comparison can.
 
 #include <algorithm>
 #include <cmath>
@@ -108,13 +117,15 @@ struct RunResult {
   std::vector<std::vector<int>> items;  // Flattened response trace.
 };
 
-ServeConfig BenchConfig(ServeMode mode, int cache_capacity) {
+ServeConfig BenchConfig(ServeMode mode, int cache_capacity,
+                        bool force_primal = false) {
   ServeConfig config;
   config.mode = mode;
   config.top_k = 10;
   config.pool_size = 30;
   config.cache_capacity = cache_capacity;
   config.seed = 0xBE7C4;
+  config.force_primal = force_primal;
   return config;
 }
 
@@ -241,6 +252,72 @@ double Sweep(const Dataset& dataset, MfModel* model,
   return top_speedup;
 }
 
+// Auto path vs force_primal, sample mode, default config, one shared
+// 1-thread pool; returns the lower of the cold and warm
+// auto/force_primal req/s ratios. Both services live side by side and
+// take turns batch by batch (alternating which goes first), each batch
+// timed on its own, so drift on a shared box lands on both sides alike
+// instead of on whichever run it happened to overlap.
+double PathSection(const Dataset& dataset, MfModel* model,
+                   const DiversityKernel& diversity,
+                   const std::vector<std::vector<RecRequest>>& batches) {
+  std::printf("\n--- path gate (mode=%s, auto vs force_primal, "
+              "1 thread, interleaved per batch) ---\n",
+              ServeModeName(ServeMode::kSample));
+  std::printf("%8s %12s %14s %9s\n", "cache", "auto_rps", "primal_rps",
+              "ratio");
+  std::vector<std::vector<RecRequest>> passes;
+  for (int pass = 0; pass < 4; ++pass) {
+    passes.insert(passes.end(), batches.begin(), batches.end());
+  }
+  ThreadPool pool(1);
+  double worst = 1e300;
+  for (bool warm : {false, true}) {
+    std::unique_ptr<RecommendationService> services[2];
+    for (int side = 0; side < 2; ++side) {
+      auto made = RecommendationService::Create(
+          &dataset, model, &diversity, &pool,
+          BenchConfig(ServeMode::kSample, warm ? 8192 : 0,
+                      /*force_primal=*/side == 1));
+      made.status().CheckOK();
+      services[side] = std::move(made).ValueOrDie();
+      if (warm) {
+        for (const auto& batch : batches) {
+          services[side]->HandleBatch(batch).status().CheckOK();
+        }
+      }
+    }
+    double seconds[2] = {0.0, 0.0};
+    long requests = 0;
+    long mismatches = 0;
+    for (size_t b = 0; b < passes.size(); ++b) {
+      std::vector<RecResponse> responses[2];
+      for (int turn = 0; turn < 2; ++turn) {
+        const int side = (turn + static_cast<int>(b)) % 2;
+        Stopwatch timer;
+        auto served = services[side]->HandleBatch(passes[b]);
+        seconds[side] += timer.ElapsedSeconds();
+        served.status().CheckOK();
+        responses[side] = std::move(served).ValueOrDie();
+      }
+      for (size_t i = 0; i < responses[0].size(); ++i) {
+        if (responses[0][i].items != responses[1][i].items) ++mismatches;
+      }
+      requests += static_cast<long>(passes[b].size());
+    }
+    const double auto_rps = requests / seconds[0];
+    const double primal_rps = requests / seconds[1];
+    const double ratio = auto_rps / primal_rps;
+    worst = std::min(worst, ratio);
+    std::printf("%8s %12.1f %14.1f %8.3fx   %s\n", warm ? "warm" : "cold",
+                auto_rps, primal_rps, ratio,
+                mismatches == 0 ? "auto==force_primal" : "PATH MISMATCH");
+    std::fflush(stdout);
+    if (mismatches != 0) std::exit(1);
+  }
+  return worst;
+}
+
 void AsyncSection(const Dataset& dataset, MfModel* model,
                   const DiversityKernel& diversity,
                   const std::vector<RecRequest>& trace,
@@ -270,26 +347,33 @@ void AsyncSection(const Dataset& dataset, MfModel* model,
   }
 }
 
-// The gate only makes sense on hardware that can express the speedup;
-// thresholds scale with available cores and the gate steps aside (with
-// a loud note, not silent success) below 2 cores.
-int ApplyScalingGate(double map_speedup, double sample_speedup) {
+// The path gate compares two runs on the same box, so it applies on any
+// core count. The scaling half only makes sense on hardware that can
+// express the speedup; its thresholds scale with available cores and it
+// steps aside (with a loud note, not silent success) below 2 cores.
+int ApplyScalingGate(double map_speedup, double sample_speedup,
+                     double path_ratio) {
   const char* env = std::getenv("LKP_SCALING_GATE");
   if (env == nullptr || std::atoi(env) != 1) return 0;
+  const double kMinPathRatio = 0.9;
+  const bool path_ok = path_ratio >= kMinPathRatio;
+  std::printf("\npath gate: auto/force_primal=%.3fx required>=%.2fx -> "
+              "%s\n",
+              path_ratio, kMinPathRatio, path_ok ? "PASS" : "FAIL");
   const int cores =
       static_cast<int>(std::thread::hardware_concurrency());
   if (cores < 2) {
-    std::printf("\nscaling gate: SKIPPED — %d core(s) detected; a "
+    std::printf("scaling gate: SKIPPED — %d core(s) detected; a "
                 "parallel speedup cannot be measured here.\n", cores);
-    return 0;
+    return path_ok ? 0 : 1;
   }
   const double required = 4.0 * std::min(cores, 8) / 8.0;
   const bool ok = map_speedup >= required && sample_speedup >= required;
-  std::printf("\nscaling gate: cores=%d required=%.2fx "
+  std::printf("scaling gate: cores=%d required=%.2fx "
               "map_rerank=%.2fx sample=%.2fx -> %s\n",
               cores, required, map_speedup, sample_speedup,
               ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  return ok && path_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -327,6 +411,7 @@ int main() {
       Sweep(dataset, &model, diversity, ServeMode::kMapRerank, batches);
   const double sample_speedup =
       Sweep(dataset, &model, diversity, ServeMode::kSample, batches);
+  const double path_ratio = PathSection(dataset, &model, diversity, batches);
   AsyncSection(dataset, &model, diversity, trace, batches);
 
   // LKP_METRICS_OUT=<path>: dump the accumulated process metrics as
@@ -343,5 +428,5 @@ int main() {
 
   std::printf("\nnote: speedups are bounded by physical cores; the "
               "determinism checks are machine-independent.\n");
-  return ApplyScalingGate(map_speedup, sample_speedup);
+  return ApplyScalingGate(map_speedup, sample_speedup, path_ratio);
 }

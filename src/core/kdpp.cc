@@ -40,17 +40,16 @@ Result<std::vector<int>> ValidateSubset(const std::vector<int>& subset, int k,
   return sorted;
 }
 
-// Shared spectrum -> (ESP table, log Z_k) finishing for both
-// representations. `eigenvalues` must already be PSD-clamped; `m` is the
-// primal ground size (only used in messages). Fails on ESP overflow or a
-// vanished normalizer, identically for primal and dual spectra (the
-// padding zeros of the primal spectrum leave every ESP bit-unchanged:
-// e_l <- e_l + 0 * e_{l-1}).
-Result<std::pair<Matrix, double>> FinishSpectrum(const Vector& eigenvalues,
-                                                 int k, int m) {
-  // One Algorithm-1 DP table serves both the normalizer (last column)
-  // and every subsequent Sample call's backward walk.
-  Matrix esp_table = EspTable(eigenvalues, k);
+// Shared spectrum -> log Z_k finishing for every representation.
+// `eigenvalues` must already be PSD-clamped; `m` is the primal ground size
+// (only used in messages). Builds the Algorithm-1 ESP table once to
+// reject overflow and read the normalizer off its last column; the table
+// itself is not kept (Sample rebuilds it from the same eigenvalues).
+// Fails on ESP overflow or a vanished normalizer, identically for primal
+// and dual spectra (the padding zeros of the primal spectrum leave every
+// ESP bit-unchanged: e_l <- e_l + 0 * e_{l-1}).
+Result<double> FinishSpectrum(const Vector& eigenvalues, int k, int m) {
+  const Matrix esp_table = EspTable(eigenvalues, k);
   if (!esp_table.AllFinite()) {
     // An intermediate e_l can overflow while e_k itself stays finite
     // (huge eigenvalues balanced by tiny ones); the sampler's backward
@@ -67,21 +66,23 @@ Result<std::pair<Matrix, double>> FinishSpectrum(const Vector& eigenvalues,
                   "(kernel rank < k?)",
                   k, zk));
   }
-  return std::make_pair(std::move(esp_table), std::log(zk));
+  return std::log(zk);
 }
 
 }  // namespace
 
-KDpp::KDpp(Rep rep, int m, int k, EigenDecomposition eig,
-           std::pair<Matrix, double> finish)
-    : rep_(rep),
-      m_(m),
-      k_(k),
-      eig_(std::move(eig)),
-      esp_table_(std::move(finish.first)),
-      log_zk_(finish.second) {}
+KDpp::KDpp(Rep rep, int m, int k, EigenDecomposition eig, double log_zk)
+    : rep_(rep), m_(m), k_(k), eig_(std::move(eig)), log_zk_(log_zk) {}
 
 Result<KDpp> KDpp::Create(Matrix kernel, int k) {
+  return CreatePrimal(std::move(kernel), k, /*keep_kernel=*/true);
+}
+
+Result<KDpp> KDpp::CreateSampler(Matrix kernel, int k) {
+  return CreatePrimal(std::move(kernel), k, /*keep_kernel=*/false);
+}
+
+Result<KDpp> KDpp::CreatePrimal(Matrix kernel, int k, bool keep_kernel) {
   if (kernel.rows() != kernel.cols()) {
     return Status::InvalidArgument(
         StrFormat("k-DPP kernel must be square, got %dx%d", kernel.rows(),
@@ -103,9 +104,9 @@ Result<KDpp> KDpp::Create(Matrix kernel, int k) {
   // are rejected. The policy lives in ClampSpectrumToPsd so the dual
   // path below detects the same rank from the same kernel.
   LKP_RETURN_IF_ERROR(ClampSpectrumToPsd(&eig.eigenvalues, m));
-  LKP_ASSIGN_OR_RETURN(auto finish, FinishSpectrum(eig.eigenvalues, k, m));
-  KDpp out(Rep::kPrimal, m, k, std::move(eig), std::move(finish));
-  out.kernel_ = std::move(kernel);
+  LKP_ASSIGN_OR_RETURN(double log_zk, FinishSpectrum(eig.eigenvalues, k, m));
+  KDpp out(Rep::kPrimal, m, k, std::move(eig), log_zk);
+  if (keep_kernel) out.kernel_ = std::move(kernel);
   return out;
 }
 
@@ -130,11 +131,11 @@ Result<KDpp> KDpp::CreateDual(LowRankFactor factor, int k) {
   // EigenDual applies ClampSpectrumToPsd at primal ground size m, so a
   // rank-deficient kernel reports the same rank as KDpp::Create would.
   LKP_ASSIGN_OR_RETURN(DualEigen dual, factor.EigenDual());
-  LKP_ASSIGN_OR_RETURN(auto finish, FinishSpectrum(dual.eigenvalues, k, m));
+  LKP_ASSIGN_OR_RETURN(double log_zk, FinishSpectrum(dual.eigenvalues, k, m));
   EigenDecomposition eig;
   eig.eigenvalues = std::move(dual.eigenvalues);
   eig.eigenvectors = std::move(dual.dual_vectors);
-  KDpp out(Rep::kDual, m, k, std::move(eig), std::move(finish));
+  KDpp out(Rep::kDual, m, k, std::move(eig), log_zk);
   out.factor_ = std::move(factor);
   return out;
 }
@@ -166,16 +167,21 @@ Result<KDpp> KDpp::CreateFactorDiag(LowRankFactor factor, Vector diag,
   // like Create, so rank detection is representation-independent.
   LKP_ASSIGN_OR_RETURN(Vector spectrum, FactorDiagSpectrum(factor.v(), diag));
   LKP_RETURN_IF_ERROR(ClampSpectrumToPsd(&spectrum, m));
-  LKP_ASSIGN_OR_RETURN(auto finish, FinishSpectrum(spectrum, k, m));
+  LKP_ASSIGN_OR_RETURN(double log_zk, FinishSpectrum(spectrum, k, m));
   EigenDecomposition eig;
   eig.eigenvalues = std::move(spectrum);
-  KDpp out(Rep::kFactorDiag, m, k, std::move(eig), std::move(finish));
+  KDpp out(Rep::kFactorDiag, m, k, std::move(eig), log_zk);
   out.factor_ = std::move(factor);
   out.fd_diag_ = std::move(diag);
   return out;
 }
 
 Result<double> KDpp::LogProb(const std::vector<int>& subset) const {
+  if (rep_ == Rep::kPrimal && kernel_.rows() == 0) {
+    return Status::FailedPrecondition(
+        "k-DPP built by CreateSampler keeps no kernel: LogProb, Prob and "
+        "EnumerateProbabilities need KDpp::Create");
+  }
   LKP_ASSIGN_OR_RETURN(std::vector<int> sorted,
                        ValidateSubset(subset, k_, ground_size()));
   // det(L_S) from the kernel submatrix, or from the Gram of the factor's
@@ -229,14 +235,16 @@ Result<std::vector<int>> KDpp::Sample(Rng* rng) const {
 
   // Phase 1 (Kulesza & Taskar Alg. 8): choose k eigenvector indices J,
   // P(n in J) proportional to products of eigenvalues, by walking the
-  // ESP table (precomputed at Create) backwards. The walk is identical
+  // ESP table backwards. The table is rebuilt here from the stored
+  // eigenvalues — O(m k), the identical table FinishSpectrum checked at
+  // build time — rather than kept per object. The walk is identical
   // for both representations: it starts at the top of the ascending
   // spectrum and always completes its k selections before descending
   // into the zero eigenvalues (inclusion is forced once the remaining
   // positive eigenvalues are exactly the l still needed), so the
   // (m - d) padding zeros the dual spectrum omits are never visited and
   // both representations consume the Rng draw-for-draw.
-  const Matrix& table = esp_table_;
+  const Matrix table = EspTable(lambda, k_);
   std::vector<int> selected;
   selected.reserve(k_);
   int l = k_;

@@ -42,6 +42,17 @@ namespace lkpdpp {
 /// representation. The representation is fixed by the factory and not
 /// exposed: a caller that needs it records its own choice (serving
 /// keeps it as ServedKernel::path).
+///
+/// A second primal factory, CreateSampler, runs Create's exact build but
+/// keeps only the eigenpairs — not the m x m kernel, which only LogProb
+/// reads. It draws the identical stream and serves the marginals and
+/// normalizer gradients, while LogProb, Prob and EnumerateProbabilities
+/// return FailedPrecondition; serving caches this form in sampling mode.
+///
+/// No representation stores the elementary-symmetric-polynomial (ESP)
+/// table: every factory builds it once to reject overflow and read
+/// log Z_k, and each Sample rebuilds the identical table from the stored
+/// eigenvalues in O(m k).
 class KDpp {
  public:
   /// Builds the distribution. Fails if the kernel is not square/symmetric,
@@ -51,6 +62,12 @@ class KDpp {
   /// range (the sampler's ESP-table walk would be corrupted).
   /// Slightly negative eigenvalues from round-off are clamped to zero.
   static Result<KDpp> Create(Matrix kernel, int k);
+
+  /// Create without retaining the kernel: same checks, same eigenpairs,
+  /// same draws, same marginals and gradients, one m x m matrix fewer to
+  /// hold. LogProb, Prob and EnumerateProbabilities return
+  /// FailedPrecondition on the result.
+  static Result<KDpp> CreateSampler(Matrix kernel, int k);
 
   /// Builds the k-DPP with kernel L = V V^T from its factor, without
   /// materializing L. Applies the same spectrum checks as Create — PSD
@@ -84,7 +101,8 @@ class KDpp {
   double LogNormalizer() const { return log_zk_; }
 
   /// log P(S) for a subset of cardinality k. Fails for wrong cardinality,
-  /// duplicate or out-of-range indices. Singular det(L_S) yields -inf.
+  /// duplicate or out-of-range indices, and with FailedPrecondition on a
+  /// CreateSampler k-DPP. Singular det(L_S) yields -inf.
   Result<double> LogProb(const std::vector<int>& subset) const;
 
   /// P(S) = exp(LogProb).
@@ -99,10 +117,9 @@ class KDpp {
   /// Exact sample of a cardinality-k subset (ascending indices).
   /// Two-phase algorithm: select an elementary DPP (eigenvector subset of
   /// size k) by walking the ESP table, then sample the elementary DPP by
-  /// iterative projection. The ESP table is computed once at Create time
-  /// and shared by all Sample calls, so repeated draws skip the O(m*k)
-  /// table rebuild. Thread-safe: concurrent calls with distinct Rngs only
-  /// read shared state.
+  /// iterative projection. Each call rebuilds the ESP table from the
+  /// stored eigenvalues (O(m*k), the table Create checked). Thread-safe:
+  /// concurrent calls with distinct Rngs only read shared state.
   Result<std::vector<int>> Sample(Rng* rng) const;
 
   /// Marginal kernel M with M_ii = P(i in S); in general
@@ -137,10 +154,12 @@ class KDpp {
   /// Which representation Create* built; fixed for the object's life.
   enum class Rep { kPrimal, kDual, kFactorDiag };
 
-  /// Takes the spectrum and its ESP finishing; the factory then fills
+  /// Takes the spectrum and its log normalizer; the factory then fills
   /// the representation's own field (kernel_, factor_, fd_diag_).
-  KDpp(Rep rep, int m, int k, EigenDecomposition eig,
-       std::pair<Matrix, double> finish);
+  KDpp(Rep rep, int m, int k, EigenDecomposition eig, double log_zk);
+
+  /// The body of Create and CreateSampler.
+  static Result<KDpp> CreatePrimal(Matrix kernel, int k, bool keep_kernel);
 
   /// Per-spectrum-column marginal weight lambda_c e_{k-1}(lambda \ c)/Z_k.
   Vector MarginalWeights() const;
@@ -148,18 +167,13 @@ class KDpp {
   Rep rep_;
   int m_;                 // Ground size.
   int k_;
-  Matrix kernel_;         // Primal mode only.
+  Matrix kernel_;         // Primal mode via Create only.
   LowRankFactor factor_;  // Dual and factor-diag modes.
   Vector fd_diag_;        // Factor-diag mode only: the added diagonal.
   // Primal: eigenpairs of L. Dual: eigenpairs of C = V^T V (d x d).
   // Factor-diag: the full m-length spectrum of W W^T + D; eigenvectors
   // stay empty and are materialized on demand.
   EigenDecomposition eig_;
-  Matrix esp_table_;  // Full Algorithm-1 table over eigenvalues() (m+1
-                      // columns primal, d+1 dual), reused by every
-                      // Sample; its last column holds e_0..e_k (e_k is
-                      // the normalizer, identical either way because
-                      // zero eigenvalues leave ESPs unchanged).
   double log_zk_;
 };
 

@@ -1,12 +1,13 @@
 // Sharded LRU memoization of per-(user, ground set) serving kernels.
 //
 // Building a personalized k-DPP over a candidate pool costs an O(n^3)
-// eigendecomposition plus the ESP table (the hot path the ROADMAP flags).
-// For a fixed trained model the conditioned kernel is a pure function of
-// (user, ground set), so repeat requests can skip all of it. The cache
-// stores the assembled quality x diversity kernel and, for sampling mode,
-// the fully decomposed KDpp (eigenpairs + ESP table) behind shared_ptr,
-// so an entry evicted mid-request stays alive for its readers.
+// eigendecomposition. For a fixed trained model the conditioned kernel
+// is a pure function of (user, ground set), so repeat requests can skip
+// all of it. The cache stores the assembled quality x diversity kernel
+// (MAP mode) or, for sampling mode, the decomposed KDpp behind
+// shared_ptr, so an entry evicted mid-request stays alive for its
+// readers. A primal sampling entry holds only the eigenpairs: the
+// kernel is dropped after the eigensolve (KDpp::CreateSampler).
 //
 // Concurrency: the table is lock-striped into N independent shards, each
 // with its own mutex, LRU list, and counters, so concurrent lookups on
@@ -65,7 +66,8 @@ namespace lkpdpp {
 enum class ServePath {
   kPrimal,            ///< Materialized conditioned kernel.
   kDualSample,        ///< Low-rank dual k-DPP (sampling, alpha == 1).
-  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1).
+  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1,
+                      ///< pools of at least kappa * rank^2).
   kFactorMap,         ///< FactorDiagKernelRep greedy MAP.
   kDiagMap,           ///< DiagKernelRep greedy MAP (alpha == 0).
 };
@@ -87,14 +89,16 @@ struct ServedKernel {
   /// materialized PrimalKernelRep, a FactorDiagKernelRep holding just the
   /// pool's factor rows + blend scalars (O(pool * rank) memory, rows
   /// synthesized on demand), or a DiagKernelRep at alpha == 0.
-  /// Sampling-mode entries keep the kernel inside `kdpp` instead.
+  /// Sampling-mode entries hold `kdpp` instead.
   std::shared_ptr<const KernelRep> rep;
   /// Decomposed k-DPP over the conditioned kernel (sampling mode only;
   /// null for MAP rerank, which needs no eigendecomposition): primal
-  /// (kPrimal), low-rank dual (kDualSample), or factor-plus-diagonal
+  /// eigenpairs without the kernel (kPrimal, so LogProb is refused),
+  /// low-rank dual (kDualSample), or factor-plus-diagonal
   /// (kFactorDiagSample). The cache is representation-agnostic, and one
-  /// service's cache can hold a mix when pool sizes straddle the factor
-  /// rank. All kinds ride the same versioned invalidation below.
+  /// service's cache can hold a mix when pool sizes straddle the
+  /// thresholds in RecommendationService::ChoosePath. All kinds ride
+  /// the same versioned invalidation below.
   std::shared_ptr<const KDpp> kdpp;
   /// The model_version epoch the kernel was computed under (stamped by
   /// the service's builder). Targeted invalidation keeps entries from
@@ -121,6 +125,10 @@ class KernelCache {
 
   /// Returns the entry and refreshes its recency, or null on miss.
   std::shared_ptr<const ServedKernel> Get(int user, uint64_t ground_hash);
+
+  /// Returns the entry, or null, without touching recency or counters.
+  std::shared_ptr<const ServedKernel> Peek(int user,
+                                           uint64_t ground_hash) const;
 
   /// Inserts (or refreshes) an entry, evicting the least recently used
   /// entry of its shard when that shard is over capacity.

@@ -363,10 +363,11 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
         }
         if (config_.mode == ServeMode::kSample) {
           LKP_TRACE_SPAN("serve.eigendecomp");
-          // KDpp keeps its own copy of the kernel, so hand ours over
-          // rather than storing it twice per cache entry.
+          // Serving only draws, so the entry keeps just the eigenpairs:
+          // the pool x pool kernel (read only by LogProb) is dropped.
           LKP_ASSIGN_OR_RETURN(
-              KDpp kdpp, KDpp::Create(std::move(conditioned), effective_k));
+              KDpp kdpp,
+              KDpp::CreateSampler(std::move(conditioned), effective_k));
           built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
         } else {
           built->rep = std::make_shared<const PrimalKernelRep>(
@@ -392,13 +393,18 @@ ServePath RecommendationService::ChoosePath(
   if (alpha == 0.0) return map ? ServePath::kDiagMap : ServePath::kPrimal;
   // A thin factor wins only when it is thinner than the pool: greedy
   // then costs O(k n d + k^2 n) instead of the O(n^2 d) materialization,
-  // and a sampling build O(n d^2) (dual) or O(n d) memory (factor-diag)
-  // instead of the O(n^3) eigendecomposition.
+  // and a dual sampling build O(n d^2) instead of the O(n^3)
+  // eigendecomposition.
   const int n = static_cast<int>(pool.size());
   const int rank = source_->ThinRank(n);
   if (rank <= 0 || rank >= n) return ServePath::kPrimal;
   if (map) return ServePath::kFactorMap;
-  return alpha == 1.0 ? ServePath::kDualSample : ServePath::kFactorDiagSample;
+  if (alpha == 1.0) return ServePath::kDualSample;
+  // The factor-diag spectrum costs O(n^2 d^2 log 1/eps) against the
+  // primal O(n^3), so it only pays on pools of at least kappa * d^2.
+  const long crossover =
+      static_cast<long>(kFactorDiagSampleKappa) * rank * rank;
+  return n >= crossover ? ServePath::kFactorDiagSample : ServePath::kPrimal;
 }
 
 Result<RecResponse> RecommendationService::SelectTopK(int user,

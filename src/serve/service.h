@@ -16,21 +16,24 @@
 //   2. Batching — HandleBatch deduplicates users and evaluates model
 //      scores for the whole batch in one parallel pass before any
 //      per-request work runs.
-//   3. KernelCache — the conditioned kernel submatrix and its
-//      eigendecomposition + ESP table are memoized per (user, ground-set
-//      hash) in a lock-striped sharded LRU; the O(n^3) build runs with
+//   3. KernelCache — sampling-mode entries memoize the conditioned
+//      kernel's eigenpairs (the kernel itself is dropped after the
+//      eigensolve) per (user, ground-set hash) in a lock-striped sharded
+//      LRU; the O(n^3) build runs with
 //      no cache lock held, and a per-key in-flight guard makes
 //      concurrent misses on one key compute once (the rest wait and
 //      share). When the kernel source advertises a thin factor with rank
-//      below the pool size, sampling-mode entries skip the O(n^3)
-//      materialization: at kernel_blend_alpha == 1 through the low-rank
-//      dual path (O(pool * rank^2) conditioning in factor space), and at
-//      any 0 < alpha < 1 through the exact factor-plus-diagonal path —
-//      the blended conditioned kernel is W W^T + D with
-//      W = sqrt(alpha) Diag(q) V and D = (1-alpha) Diag(q^2), whose full
-//      spectrum comes from inertia bisection (linalg/factor_diag.h) at
-//      O(pool * rank) memory, never pool x pool (set force_primal to
-//      disable for cross-checks). MAP-rerank entries
+//      below the pool size, sampling at kernel_blend_alpha == 1 skips
+//      the O(n^3) materialization through the low-rank dual path
+//      (O(pool * rank^2) conditioning in factor space). At
+//      0 < alpha < 1 the blended conditioned kernel is W W^T + D with
+//      W = sqrt(alpha) Diag(q) V and D = (1-alpha) Diag(q^2); the exact
+//      factor-plus-diagonal path (linalg/factor_diag.h, O(pool * rank)
+//      memory, never pool x pool) costs O(pool^2 rank^2 log 1/eps) per
+//      build against the primal O(pool^3), so it is taken only for
+//      pools of at least kFactorDiagSampleKappa * rank^2 and every
+//      smaller pool is served primally (force_primal pins primal
+//      everywhere for cross-checks). MAP-rerank entries
 //      never eigendecompose at all, and hold a KernelRep chosen by cost
 //      model: a FactorDiagKernelRep (pool factor rows + blend scalars,
 //      O(pool * rank) memory, greedy reads rows at O(pool * rank)) when
@@ -169,6 +172,19 @@ struct RecResponse {
 /// live (call InvalidateModel after retraining).
 class RecommendationService {
  public:
+  /// Blended (0 < alpha < 1) sampling takes the factor-diag path only on
+  /// pools of at least kappa * rank^2; smaller pools build primally. The
+  /// factor-diag build is O(n^2 d^2 log 1/eps) against the primal
+  /// O(n^3), so the crossover pool grows with d^2. Measured by
+  /// bench/dual_bench's blend sweep (k=10, alpha=0.5, 4-vCPU VM): the
+  /// smallest shape where factor-diag wins a cold request (build plus
+  /// one draw) is n=2048, d=16 — build 25,189 ms vs 45,775 ms primal,
+  /// draw 3.53 ms vs 1.52 ms — so kappa = 2048 / 16^2 = 8. At n=1024,
+  /// d=16 primal still wins (2,188 ms vs 4,834 ms). No swept shape wins
+  /// per draw: a factor-diag draw runs the primal's elementary-DPP walk
+  /// plus k on-demand eigenvector columns.
+  static constexpr int kFactorDiagSampleKappa = 8;
+
   /// Validates config/shape compatibility and runs model->PrepareForEval()
   /// once. `pool` may be null for fully synchronous serving; all pointers
   /// must outlive the service.
@@ -288,8 +304,10 @@ class RecommendationService {
   /// thin path needs a factor thinner than the pool: MAP takes
   /// kFactorMap for any alpha (greedy only reads entries, all of which
   /// the factor plus blend scalars reproduce); sampling takes
-  /// kDualSample at alpha == 1 and kFactorDiagSample at 0 < alpha < 1,
-  /// and stays primal at alpha == 0, where the primal build is trivial.
+  /// kDualSample at alpha == 1, kFactorDiagSample at 0 < alpha < 1 only
+  /// on pools of at least kFactorDiagSampleKappa * rank^2, and stays
+  /// primal otherwise (alpha == 0 included, where the primal build is
+  /// trivial).
   ServePath ChoosePath(const std::vector<int>& pool) const;
 
   /// Distills one request's top-k list from its user's prepared kernel.

@@ -443,6 +443,22 @@ ServeWorld* World() {
   return world;
 }
 
+// A rank-1 diversity kernel over the same items. The world's rank-8
+// kernel needs pools of kFactorDiagSampleKappa * 64 before blended
+// sampling leaves the primal path; at rank 1 the default pool of 20
+// already sits above that crossover, so the factor-diag path engages.
+constexpr int kThinRank = 1;
+static_assert(RecommendationService::kFactorDiagSampleKappa * kThinRank *
+                      kThinRank <=
+                  20,
+              "pool 20 must sit above the factor-diag crossover at rank 1");
+const DiversityKernel* ThinDiversity() {
+  static const DiversityKernel* thin = new DiversityKernel(
+      DiversityKernel::Random(World()->dataset.num_items(), kThinRank,
+                              /*seed=*/29));
+  return thin;
+}
+
 ServeConfig SampleConfig(double alpha) {
   ServeConfig config;
   config.mode = ServeMode::kSample;
@@ -470,9 +486,9 @@ TEST(FactorDiagServeTest, BlendedSamplingMatchesForcedPrimalExactly) {
     ServeConfig primal_cfg = fd_cfg;
     primal_cfg.force_primal = true;
     auto fd_service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, nullptr, fd_cfg);
+        &w->dataset, w->model.get(), ThinDiversity(), nullptr, fd_cfg);
     auto primal_service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, nullptr, primal_cfg);
+        &w->dataset, w->model.get(), ThinDiversity(), nullptr, primal_cfg);
     ASSERT_TRUE(fd_service.ok());
     ASSERT_TRUE(primal_service.ok());
     int factor_diag_responses = 0;
@@ -492,7 +508,7 @@ TEST(FactorDiagServeTest, BlendedSamplingMatchesForcedPrimalExactly) {
         }
       }
     }
-    // The factor-diag path actually engaged (rank 8 < pool 20).
+    // The factor-diag path actually engaged (pool 20 >= kappa * 1^2).
     EXPECT_GT(factor_diag_responses, 0) << "alpha " << alpha;
   }
 }
@@ -506,13 +522,18 @@ TEST(FactorDiagServeTest, NeverMaterializesPoolByPoolKernel) {
   ServeConfig fd_cfg = SampleConfig(0.5);
   fd_cfg.cache_capacity = 0;  // Every request rebuilds: probe sees builds.
   auto fd_service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, nullptr, fd_cfg);
+      &w->dataset, w->model.get(), ThinDiversity(), nullptr, fd_cfg);
   ASSERT_TRUE(fd_service.ok());
   const long pool_sq =
       static_cast<long>(fd_cfg.pool_size) * fd_cfg.pool_size;
   matrix_probe::Arm();
-  ASSERT_TRUE((*fd_service)->HandleBatch(RoundRobinBatch(8, 0)).ok());
+  auto fd_responses = (*fd_service)->HandleBatch(RoundRobinBatch(8, 0));
   const long peak_fd = matrix_probe::Disarm();
+  ASSERT_TRUE(fd_responses.ok());
+  for (const RecResponse& r : *fd_responses) {
+    if (r.items.empty()) continue;
+    EXPECT_EQ(r.path, ServePath::kFactorDiagSample);
+  }
   EXPECT_GT(peak_fd, 0);
   EXPECT_LT(peak_fd, pool_sq)
       << "factor-diag sampling materialized a pool x pool matrix";
@@ -520,7 +541,7 @@ TEST(FactorDiagServeTest, NeverMaterializesPoolByPoolKernel) {
   ServeConfig primal_cfg = fd_cfg;
   primal_cfg.force_primal = true;
   auto primal_service = RecommendationService::Create(
-      &w->dataset, w->model.get(), &w->diversity, nullptr, primal_cfg);
+      &w->dataset, w->model.get(), ThinDiversity(), nullptr, primal_cfg);
   ASSERT_TRUE(primal_service.ok());
   matrix_probe::Arm();
   ASSERT_TRUE((*primal_service)->HandleBatch(RoundRobinBatch(8, 0)).ok());
@@ -535,7 +556,7 @@ TEST(FactorDiagServeTest, BitIdenticalAcrossThreadCounts) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     auto service = RecommendationService::Create(
-        &w->dataset, w->model.get(), &w->diversity, pool.get(),
+        &w->dataset, w->model.get(), ThinDiversity(), pool.get(),
         SampleConfig(0.5));
     service.status().CheckOK();
     std::vector<std::vector<int>> all_items;
@@ -586,41 +607,63 @@ TEST(FactorDiagServeTest, PathAttributionIsPerRepresentation) {
             "\"}",
         obs::LatencyBucketsMs());
   };
-  // The path each (mode, alpha) takes when pools are wider than the
-  // factor rank (8) and when they are narrower; force_primal pins
-  // kPrimal in every cell.
+  // The path each (mode, alpha) takes in three shapes: rank-8 factor
+  // with pools wider than it (20) but below the blended-sampling
+  // crossover (kFactorDiagSampleKappa * 8^2), rank-8 factor with pools
+  // narrower than it (6), and a rank-1 factor whose pools of 20 sit above
+  // the crossover. force_primal pins kPrimal in every cell.
   struct Row {
     ServeMode mode;
     double alpha;
     ServePath wide_pool;
     ServePath narrow_pool;
+    ServePath above_crossover;
   };
   const Row kTable[] = {
-      {ServeMode::kMapRerank, 0.0, ServePath::kDiagMap, ServePath::kDiagMap},
-      {ServeMode::kMapRerank, 0.4, ServePath::kFactorMap, ServePath::kPrimal},
-      {ServeMode::kMapRerank, 1.0, ServePath::kFactorMap, ServePath::kPrimal},
-      {ServeMode::kSample, 0.0, ServePath::kPrimal, ServePath::kPrimal},
-      {ServeMode::kSample, 0.4, ServePath::kFactorDiagSample,
+      {ServeMode::kMapRerank, 0.0, ServePath::kDiagMap, ServePath::kDiagMap,
+       ServePath::kDiagMap},
+      {ServeMode::kMapRerank, 0.4, ServePath::kFactorMap, ServePath::kPrimal,
+       ServePath::kFactorMap},
+      {ServeMode::kMapRerank, 1.0, ServePath::kFactorMap, ServePath::kPrimal,
+       ServePath::kFactorMap},
+      {ServeMode::kSample, 0.0, ServePath::kPrimal, ServePath::kPrimal,
        ServePath::kPrimal},
-      {ServeMode::kSample, 1.0, ServePath::kDualSample, ServePath::kPrimal},
+      {ServeMode::kSample, 0.4, ServePath::kPrimal, ServePath::kPrimal,
+       ServePath::kFactorDiagSample},
+      {ServeMode::kSample, 1.0, ServePath::kDualSample, ServePath::kPrimal,
+       ServePath::kDualSample},
   };
+  struct Shape {
+    const DiversityKernel* diversity;
+    int pool_size;
+    ServePath Row::*expected;
+  };
+  const Shape kShapes[] = {{&w->diversity, 20, &Row::wide_pool},
+                           {&w->diversity, 6, &Row::narrow_pool},
+                           {ThinDiversity(), 20, &Row::above_crossover}};
   for (const Row& row : kTable) {
     for (bool force_primal : {false, true}) {
-      for (int pool_size : {20, 6}) {
+      for (const Shape& shape : kShapes) {
+        // Unblended sampling over a rank-1 kernel has no positive-mass
+        // subset of size top_k, on any path.
+        if (row.mode == ServeMode::kSample && row.alpha == 1.0 &&
+            shape.diversity->rank() < SampleConfig(1.0).top_k) {
+          continue;
+        }
         const ServePath expected =
-            force_primal ? ServePath::kPrimal
-                         : pool_size > 8 ? row.wide_pool : row.narrow_pool;
+            force_primal ? ServePath::kPrimal : row.*shape.expected;
         ServeConfig cfg = SampleConfig(row.alpha);
         cfg.mode = row.mode;
         cfg.force_primal = force_primal;
-        cfg.pool_size = pool_size;
+        cfg.pool_size = shape.pool_size;
         SCOPED_TRACE(std::string(ServeModeName(row.mode)) + " alpha=" +
                      std::to_string(row.alpha) +
                      " force_primal=" + std::to_string(force_primal) +
-                     " pool=" + std::to_string(pool_size) +
+                     " rank=" + std::to_string(shape.diversity->rank()) +
+                     " pool=" + std::to_string(shape.pool_size) +
                      " expected=" + ServePathName(expected));
         auto service = RecommendationService::Create(
-            &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
+            &w->dataset, w->model.get(), shape.diversity, nullptr, cfg);
         ASSERT_TRUE(service.ok());
         std::vector<long> totals_before;
         std::vector<long> builds_before;
@@ -853,10 +896,12 @@ TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
     }
   }
 
-  // Opt in with a generous budget: factor-backed sampling engages.
+  // Opt in with a generous budget: factor-backed sampling engages. A
+  // rank-1 Nystrom factor puts pools of 20 above the factor-diag
+  // crossover (kFactorDiagSampleKappa * rank^2).
   {
     ServeConfig cfg = SampleConfig(0.5);
-    cfg.approx_factor_rank = 6;
+    cfg.approx_factor_rank = kThinRank;
     cfg.approx_error_budget = 1.0;  // Gaussian entries are <= 1 anyway.
     auto service = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
@@ -873,10 +918,11 @@ TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
 
   // Opt in with an impossible budget: every pool falls back to the
   // exact primal build, the fallback counter says so, and the responses
-  // are bit-identical to the never-opted-in service.
+  // are bit-identical to the never-opted-in service. Rank 1 again, so
+  // the factor path is chosen and the budget gate is what demotes it.
   {
     ServeConfig cfg = SampleConfig(0.5);
-    cfg.approx_factor_rank = 4;
+    cfg.approx_factor_rank = kThinRank;
     cfg.approx_error_budget = 0.0;
     auto gated = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,

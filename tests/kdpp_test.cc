@@ -351,6 +351,58 @@ TEST(KDppTest, LogNormalizerGradientMatchesUnnormalized) {
             1e-10 * std::max(1.0, expected.MaxAbs()));
 }
 
+TEST(KDppSamplerOnlyTest, DrawsTheCreateStream) {
+  // CreateSampler runs Create's build without keeping the kernel: the
+  // same eigenpairs, normalizer and marginals, and the same 100-draw
+  // stream from one seed.
+  for (int m : {5, 30}) {
+    Rng rng(60 + m);
+    const Matrix kernel = RandomPsdKernel(m, &rng);
+    const int k = m == 5 ? 2 : 10;
+    auto full = KDpp::Create(kernel, k);
+    auto sampler = KDpp::CreateSampler(kernel, k);
+    ASSERT_TRUE(full.ok()) << "m=" << m;
+    ASSERT_TRUE(sampler.ok()) << "m=" << m;
+    EXPECT_EQ(sampler->LogNormalizer(), full->LogNormalizer());
+    EXPECT_EQ((sampler->eigenvectors() - full->eigenvectors()).MaxAbs(),
+              0.0);
+    EXPECT_EQ((sampler->MarginalKernel() - full->MarginalKernel()).MaxAbs(),
+              0.0);
+    Rng master_full(900 + m);
+    Rng master_sampler(900 + m);
+    for (int t = 0; t < 100; ++t) {
+      Rng fork_full = master_full.Fork();
+      Rng fork_sampler = master_sampler.Fork();
+      auto a = full->Sample(&fork_full);
+      auto b = sampler->Sample(&fork_sampler);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(*a, *b) << "m=" << m << " draw " << t;
+    }
+  }
+}
+
+TEST(KDppSamplerOnlyTest, ProbabilityQueriesFailWithoutKernel) {
+  Rng rng(62);
+  auto sampler = KDpp::CreateSampler(RandomPsdKernel(5, &rng), 2);
+  ASSERT_TRUE(sampler.ok());
+  EXPECT_EQ(sampler->LogProb({0, 1}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sampler->Prob({0, 1}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sampler->EnumerateProbabilities().status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(KDppSamplerOnlyTest, RejectsWhatCreateRejects) {
+  Rng rng(63);
+  const Matrix kernel = RandomPsdKernel(6, &rng, /*rank=*/2, /*ridge=*/0.0);
+  EXPECT_EQ(KDpp::CreateSampler(kernel, 4).status().code(),
+            KDpp::Create(kernel, 4).status().code());
+  EXPECT_FALSE(KDpp::CreateSampler(kernel, 0).ok());
+  EXPECT_FALSE(KDpp::CreateSampler(Matrix(2, 3), 1).ok());
+}
+
 TEST(KDppTest, EnumerationGuardTriggers) {
   Rng rng(18);
   auto kdpp = KDpp::Create(RandomPsdKernel(12, &rng), 6);

@@ -596,6 +596,31 @@ TEST(ServeTest, MapModeBuildsSkipEigendecomposition) {
   EXPECT_EQ(factor_map->Value() + diag_map->Value(), before);
 }
 
+TEST(ServeTest, PrimalSampleEntryKeepsNoKernelCopy) {
+  // A primal sampling-mode cache entry holds only the eigenpairs: its
+  // k-DPP refuses LogProb, which is the one query that needs L itself.
+  ServeWorld* w = World();
+  const ServeConfig config = BaseConfig(ServeMode::kSample);
+  auto service = RecommendationService::Create(
+      &w->dataset, w->model.get(), &w->diversity, nullptr, config);
+  ASSERT_TRUE(service.ok());
+  const int user = 2;
+  auto response = (*service)->HandleOne(user);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->path, ServePath::kPrimal);
+
+  const std::vector<int> pool = GroundSetBuilder::BuildServingPool(
+      w->dataset, user, w->model->ScoreAllItems(user), config.pool_size);
+  const auto entry = (*service)->cache().Peek(user, HashGroundSet(pool));
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->kdpp, nullptr);
+  EXPECT_EQ(entry->rep, nullptr);
+  std::vector<int> subset(static_cast<size_t>(config.top_k));
+  for (int i = 0; i < config.top_k; ++i) subset[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(entry->kdpp->LogProb(subset).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(ServeTest, ServingPoolIsScoreSortedAndUnobserved) {
   ServeWorld* w = World();
   w->model->PrepareForEval();
