@@ -176,13 +176,14 @@ class RecommendationService {
   /// pools of at least kappa * rank^2; smaller pools build primally. The
   /// factor-diag build is O(n^2 d^2 log 1/eps) against the primal
   /// O(n^3), so the crossover pool grows with d^2. Measured by
-  /// bench/dual_bench's blend sweep (k=10, alpha=0.5, 4-vCPU VM): the
-  /// smallest shape where factor-diag wins a cold request (build plus
-  /// one draw) is n=2048, d=16 — build 25,189 ms vs 45,775 ms primal,
-  /// draw 3.53 ms vs 1.52 ms — so kappa = 2048 / 16^2 = 8. At n=1024,
-  /// d=16 primal still wins (2,188 ms vs 4,834 ms). No swept shape wins
-  /// per draw: a factor-diag draw runs the primal's elementary-DPP walk
-  /// plus k on-demand eigenvector columns.
+  /// bench/dual_bench's blend sweep (k=10, alpha=0.5, 4-vCPU VM; the
+  /// dual_blend section of BENCH_baseline.json): the smallest shape where
+  /// factor-diag wins a cold request (build plus one draw) is n=2048,
+  /// d=16 — build 25,539 ms vs 40,244 ms primal, draw 3.76 ms vs
+  /// 1.75 ms — so kappa = 2048 / 16^2 = 8. At n=1024, d=16 primal still
+  /// wins (2,795 ms vs 6,192 ms). No swept shape wins per draw: a
+  /// factor-diag draw runs the primal's elementary-DPP walk plus k
+  /// on-demand eigenvector columns.
   static constexpr int kFactorDiagSampleKappa = 8;
 
   /// Validates config/shape compatibility and runs model->PrepareForEval()
