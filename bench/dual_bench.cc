@@ -29,10 +29,9 @@
 // timed (alpha=0.5) shape that qualifies, as kappa = n / d^2, or "none":
 // one where factor-diag beats primal on both build and per-draw time,
 // and one where it beats primal on a cold request (build plus one
-// draw). Serving's factor-diag threshold
-// (RecommendationService::kFactorDiagSampleKappa) is the second: a
-// factor-diag draw runs the primal's elementary-DPP walk plus k
-// on-demand eigenvector columns, so it never wins per draw.
+// draw). A factor-diag draw runs the primal's elementary-DPP walk plus k
+// on-demand eigenvector columns, so it never wins per draw; these rows
+// are why RecommendationService serves blended sampling primally.
 
 #include <cmath>
 #include <cstdio>

@@ -32,20 +32,12 @@
 #     bit-identical responses at every thread count) plus indicative
 #     staleness-vs-throughput rows per update rate.
 #
-# Every section re-recorded by a run is stamped under the top-level
-# "provenance" map with the commit (git describe --always --dirty) and
-# the recorder's nproc.
+# The top-level "provenance" map stamps the recording with the commit
+# (git describe --always --dirty, taken before the benches run) and the
+# recorder's nproc.
 #
 # Usage: bench/record_baseline.sh [build-dir]   (default: build)
 # The build dir must already contain the Release bench binaries.
-#
-# LKP_BASELINE_SECTIONS="dual_blend serve_throughput" re-records only the
-# named top-level sections (fig2_k_sweep micro_kdpp serve_throughput
-# train_throughput eigen dual dual_blend map stream obs_metrics): only
-# the binaries behind them run, and every other section of the existing
-# BENCH_baseline.json is kept as it is. Unset, every section is
-# re-recorded. LKP_DUAL_MAX_N passes through to dual_bench (e.g. 2048
-# skips the dual sweep's n=4096 rows when only dual_blend is wanted).
 
 set -euo pipefail
 BUILD_DIR="${1:-build}"
@@ -78,27 +70,12 @@ STREAM_OUT=$(mktemp)
 METRICS_OUT=$(mktemp)
 trap 'rm -f "$FIG2_OUT" "$MICRO_OUT" "$SERVE_OUT" "$TRAIN_OUT" "$EIGEN_OUT" "$DUAL_OUT" "$MAP_OUT" "$STREAM_OUT" "$METRICS_OUT"' EXIT
 
-SECTIONS="${LKP_BASELINE_SECTIONS:-}"
-SECTIONS="${SECTIONS//,/ }"
-# wants <section>...: true when any named section is being re-recorded.
-wants() {
-  [ -z "$SECTIONS" ] && return 0
-  for want in "$@"; do
-    for s in $SECTIONS; do
-      [ "$s" = "$want" ] && return 0
-    done
-  done
-  return 1
-}
+COMMIT="$(git -C "$ROOT" describe --always --dirty 2>/dev/null || echo unknown)"
 
-if wants fig2_k_sweep; then
 echo "running fig2_k_sweep (LKP_SCALE=$LKP_SCALE LKP_EPOCHS=$LKP_EPOCHS)..."
 "$BUILD_DIR/bench/fig2_k_sweep" > "$FIG2_OUT"
-fi
 
-if ! wants micro_kdpp; then
-  echo '{}' > "$MICRO_OUT"
-elif [ -x "$BUILD_DIR/bench/micro_kdpp" ]; then
+if [ -x "$BUILD_DIR/bench/micro_kdpp" ]; then
   echo "running micro_kdpp..."
   "$BUILD_DIR/bench/micro_kdpp" --benchmark_format=json \
     --benchmark_min_time=0.05 > "$MICRO_OUT"
@@ -107,7 +84,6 @@ else
   echo '{}' > "$MICRO_OUT"
 fi
 
-if wants serve_throughput obs_metrics; then
 echo "running serve_throughput (LKP_SERVE_USERS=$LKP_SERVE_USERS" \
      "LKP_SERVE_REQUESTS=$LKP_SERVE_REQUESTS)..."
 # serve_throughput exits non-zero on a determinism violation (and, with
@@ -116,47 +92,35 @@ echo "running serve_throughput (LKP_SERVE_USERS=$LKP_SERVE_USERS" \
 # metrics dump of the same run rides along into the baseline.
 LKP_METRICS_OUT="$METRICS_OUT" \
   "$BUILD_DIR/bench/serve_throughput" > "$SERVE_OUT" || true
-fi
 
-if wants train_throughput; then
 echo "running train_throughput (LKP_TRAIN_EPOCHS=$LKP_TRAIN_EPOCHS)..."
 # train_throughput exits non-zero on a determinism violation; keep going
 # so the parser records deterministic_across_threads=false.
 "$BUILD_DIR/bench/train_throughput" > "$TRAIN_OUT" || true
-fi
 
-if wants eigen; then
 echo "running eigen_bench..."
 # eigen_bench exits non-zero on an accuracy violation; don't let set -e
 # abort before the parser records solvers_agree=false in the baseline.
 "$BUILD_DIR/bench/eigen_bench" > "$EIGEN_OUT" || true
-fi
 
-if wants dual dual_blend; then
 echo "running dual_bench (n=4096 primal eigendecompositions: minutes)..."
 # dual_bench exits non-zero on an agreement violation; keep going so the
 # parser records dual_agrees=false in the baseline.
 "$BUILD_DIR/bench/dual_bench" > "$DUAL_OUT" || true
-fi
 
-if wants map; then
 echo "running map_bench..."
 # map_bench exits non-zero on an agreement violation; keep going so the
 # parser records map_agrees=false in the baseline.
 "$BUILD_DIR/bench/map_bench" > "$MAP_OUT" || true
-fi
 
-if wants stream; then
 echo "running stream_bench (LKP_STREAM_USERS=$LKP_STREAM_USERS" \
      "LKP_STREAM_REQUESTS=$LKP_STREAM_REQUESTS)..."
 # stream_bench exits non-zero on a replay-determinism violation (and,
 # with LKP_STREAM_GATE=1, on an invalidation/staleness assertion); keep
 # going so the parser records the red verdict instead of aborting.
 "$BUILD_DIR/bench/stream_bench" > "$STREAM_OUT" || true
-fi
 
-COMMIT="$(git -C "$ROOT" describe --always --dirty 2>/dev/null || echo unknown)"
-LKP_BASELINE_SECTIONS="$SECTIONS" LKP_BASELINE_COMMIT="$COMMIT" \
+LKP_BASELINE_COMMIT="$COMMIT" \
 python3 - "$FIG2_OUT" "$MICRO_OUT" "$SERVE_OUT" "$TRAIN_OUT" "$EIGEN_OUT" \
   "$DUAL_OUT" "$MAP_OUT" "$STREAM_OUT" "$METRICS_OUT" <<'EOF'
 import json, os, re, sys
@@ -471,29 +435,12 @@ baseline = {
     "stream": stream,
     "obs_metrics": obs_metrics,
 }
-sections = os.environ.get("LKP_BASELINE_SECTIONS", "").split()
-stamp = {"commit": os.environ["LKP_BASELINE_COMMIT"],
-         "nproc": os.cpu_count()}
+baseline["provenance"] = {"commit": os.environ["LKP_BASELINE_COMMIT"],
+                          "nproc": os.cpu_count()}
 if os.environ.get("LKP_DUAL_MAX_N"):
-    stamp["LKP_DUAL_MAX_N"] = os.environ["LKP_DUAL_MAX_N"]
-if sections:
-    unknown = [s for s in sections if s not in baseline
-               or s in ("comment", "environment")]
-    if unknown:
-        sys.exit(f"unknown LKP_BASELINE_SECTIONS entries: {unknown}")
-    previous = json.load(open("BENCH_baseline.json"))
-    for name in sections:
-        previous[name] = baseline[name]
-    baseline = previous
-else:
-    sections = [name for name in baseline
-                if name not in ("comment", "environment")]
-provenance = baseline.get("provenance", {})
-for name in sections:
-    provenance[name] = stamp
-baseline["provenance"] = provenance
+    baseline["provenance"]["LKP_DUAL_MAX_N"] = os.environ["LKP_DUAL_MAX_N"]
 with open("BENCH_baseline.json", "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
-print("wrote BENCH_baseline.json (" + " ".join(sections) + ")")
+print("wrote BENCH_baseline.json")
 EOF

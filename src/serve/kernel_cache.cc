@@ -149,15 +149,6 @@ std::shared_ptr<const ServedKernel> KernelCache::Get(int user,
   return it->second->second;
 }
 
-std::shared_ptr<const ServedKernel> KernelCache::Peek(
-    int user, uint64_t ground_hash) const {
-  const Key key{user, ground_hash};
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.index.find(key);
-  return it == shard.index.end() ? nullptr : it->second->second;
-}
-
 void KernelCache::PutLocked(Shard& shard, const Key& key,
                             std::shared_ptr<const ServedKernel> value) {
   auto it = shard.index.find(key);

@@ -66,8 +66,10 @@ namespace lkpdpp {
 enum class ServePath {
   kPrimal,            ///< Materialized conditioned kernel.
   kDualSample,        ///< Low-rank dual k-DPP (sampling, alpha == 1).
-  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1,
-                      ///< pools of at least kappa * rank^2).
+  kFactorDiagSample,  ///< Factor+diagonal k-DPP (sampling, 0 < alpha < 1).
+                      ///< RecommendationService never builds it (see
+                      ///< ChoosePath); the value keeps path names and
+                      ///< metric labels stable.
   kFactorMap,         ///< FactorDiagKernelRep greedy MAP.
   kDiagMap,           ///< DiagKernelRep greedy MAP (alpha == 0).
 };
@@ -93,12 +95,10 @@ struct ServedKernel {
   std::shared_ptr<const KernelRep> rep;
   /// Decomposed k-DPP over the conditioned kernel (sampling mode only;
   /// null for MAP rerank, which needs no eigendecomposition): primal
-  /// eigenpairs without the kernel (kPrimal, so LogProb is refused),
-  /// low-rank dual (kDualSample), or factor-plus-diagonal
-  /// (kFactorDiagSample). The cache is representation-agnostic, and one
-  /// service's cache can hold a mix when pool sizes straddle the
-  /// thresholds in RecommendationService::ChoosePath. All kinds ride
-  /// the same versioned invalidation below.
+  /// eigenpairs without the kernel (kPrimal, so LogProb is refused) or
+  /// low-rank dual (kDualSample). The cache is representation-agnostic,
+  /// and one service's cache can hold a mix when pool sizes straddle the
+  /// factor rank. All kinds ride the same versioned invalidation below.
   std::shared_ptr<const KDpp> kdpp;
   /// The model_version epoch the kernel was computed under (stamped by
   /// the service's builder). Targeted invalidation keeps entries from
@@ -125,10 +125,6 @@ class KernelCache {
 
   /// Returns the entry and refreshes its recency, or null on miss.
   std::shared_ptr<const ServedKernel> Get(int user, uint64_t ground_hash);
-
-  /// Returns the entry, or null, without touching recency or counters.
-  std::shared_ptr<const ServedKernel> Peek(int user,
-                                           uint64_t ground_hash) const;
 
   /// Inserts (or refreshes) an entry, evicting the least recently used
   /// entry of its shard when that shard is over capacity.

@@ -314,30 +314,10 @@ Result<RecommendationService::UserWork> RecommendationService::PrepareUser(
         built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
         break;
       }
-      case ServePath::kFactorDiagSample: {
-        // 0 < alpha < 1: the conditioned kernel is
-        //   Diag(q)(alpha K_S + (1-alpha) I)Diag(q) = W W^T + D,
-        //   W = sqrt(alpha) Diag(q) F_S,  D = (1-alpha) Diag(q^2).
-        // The factor-diag k-DPP computes the exact full spectrum from
-        // that shape (linalg/factor_diag.h) — never pool x pool.
-        LKP_TRACE_SPAN("serve.factor_diag_build");
-        const int n = static_cast<int>(work.pool.size());
-        const double sqrt_alpha = std::sqrt(alpha);
-        Vector w_scale(n);
-        Vector added(n);
-        for (int i = 0; i < n; ++i) {
-          w_scale[i] = sqrt_alpha * quality[i];
-          added[i] = (1.0 - alpha) * quality[i] * quality[i];
-        }
-        LKP_ASSIGN_OR_RETURN(LowRankFactor factor,
-                             LowRankFactor::Create(std::move(thin.rows)));
-        LKP_ASSIGN_OR_RETURN(
-            KDpp kdpp,
-            KDpp::CreateFactorDiag(factor.ScaleRows(w_scale),
-                                   std::move(added), effective_k));
-        built->kdpp = std::make_shared<const KDpp>(std::move(kdpp));
-        break;
-      }
+      case ServePath::kFactorDiagSample:
+        // ChoosePath never picks it (see there); KDpp::CreateFactorDiag
+        // stays a library and bench representation.
+        return Status::Internal("factor-diag sampling is not a serve path");
       case ServePath::kFactorMap: {
         // Greedy MAP only reads entries, so the blended conditioned
         // kernel rides as factor + diagonal — O(pool * rank) to build and
@@ -391,6 +371,12 @@ ServePath RecommendationService::ChoosePath(
   const bool map = config_.mode == ServeMode::kMapRerank;
   const double alpha = config_.kernel_blend_alpha;
   if (alpha == 0.0) return map ? ServePath::kDiagMap : ServePath::kPrimal;
+  // Blended (0 < alpha < 1) sampling builds primally. Its exact thin
+  // form, the factor-diag spectrum (KDpp::CreateFactorDiag), costs
+  // O(n^2 d^2 log 1/eps) per build and k extra eigenvector columns per
+  // draw: bench/dual_bench's blend sweep measures it slower per draw at
+  // every shape and slower per build at every shape up to n=1024.
+  if (!map && alpha < 1.0) return ServePath::kPrimal;
   // A thin factor wins only when it is thinner than the pool: greedy
   // then costs O(k n d + k^2 n) instead of the O(n^2 d) materialization,
   // and a dual sampling build O(n d^2) instead of the O(n^3)
@@ -398,13 +384,7 @@ ServePath RecommendationService::ChoosePath(
   const int n = static_cast<int>(pool.size());
   const int rank = source_->ThinRank(n);
   if (rank <= 0 || rank >= n) return ServePath::kPrimal;
-  if (map) return ServePath::kFactorMap;
-  if (alpha == 1.0) return ServePath::kDualSample;
-  // The factor-diag spectrum costs O(n^2 d^2 log 1/eps) against the
-  // primal O(n^3), so it only pays on pools of at least kappa * d^2.
-  const long crossover =
-      static_cast<long>(kFactorDiagSampleKappa) * rank * rank;
-  return n >= crossover ? ServePath::kFactorDiagSample : ServePath::kPrimal;
+  return map ? ServePath::kFactorMap : ServePath::kDualSample;
 }
 
 Result<RecResponse> RecommendationService::SelectTopK(int user,

@@ -25,15 +25,13 @@
 //      share). When the kernel source advertises a thin factor with rank
 //      below the pool size, sampling at kernel_blend_alpha == 1 skips
 //      the O(n^3) materialization through the low-rank dual path
-//      (O(pool * rank^2) conditioning in factor space). At
-//      0 < alpha < 1 the blended conditioned kernel is W W^T + D with
-//      W = sqrt(alpha) Diag(q) V and D = (1-alpha) Diag(q^2); the exact
-//      factor-plus-diagonal path (linalg/factor_diag.h, O(pool * rank)
-//      memory, never pool x pool) costs O(pool^2 rank^2 log 1/eps) per
-//      build against the primal O(pool^3), so it is taken only for
-//      pools of at least kFactorDiagSampleKappa * rank^2 and every
-//      smaller pool is served primally (force_primal pins primal
-//      everywhere for cross-checks). MAP-rerank entries
+//      (O(pool * rank^2) conditioning in factor space). Blended
+//      0 < alpha < 1 sampling always builds primally: its exact thin
+//      form (the factor-plus-diagonal k-DPP, linalg/factor_diag.h)
+//      costs O(pool^2 rank^2 log 1/eps) per build and measures slower
+//      than the primal eigensolve at serving-sized pools (see
+//      ChoosePath). force_primal pins primal everywhere for
+//      cross-checks. MAP-rerank entries
 //      never eigendecompose at all, and hold a KernelRep chosen by cost
 //      model: a FactorDiagKernelRep (pool factor rows + blend scalars,
 //      O(pool * rank) memory, greedy reads rows at O(pool * rank)) when
@@ -172,20 +170,6 @@ struct RecResponse {
 /// live (call InvalidateModel after retraining).
 class RecommendationService {
  public:
-  /// Blended (0 < alpha < 1) sampling takes the factor-diag path only on
-  /// pools of at least kappa * rank^2; smaller pools build primally. The
-  /// factor-diag build is O(n^2 d^2 log 1/eps) against the primal
-  /// O(n^3), so the crossover pool grows with d^2. Measured by
-  /// bench/dual_bench's blend sweep (k=10, alpha=0.5, 4-vCPU VM; the
-  /// dual_blend section of BENCH_baseline.json): the smallest shape where
-  /// factor-diag wins a cold request (build plus one draw) is n=2048,
-  /// d=16 — build 25,539 ms vs 40,244 ms primal, draw 3.76 ms vs
-  /// 1.75 ms — so kappa = 2048 / 16^2 = 8. At n=1024, d=16 primal still
-  /// wins (2,795 ms vs 6,192 ms). No swept shape wins per draw: a
-  /// factor-diag draw runs the primal's elementary-DPP walk plus k
-  /// on-demand eigenvector columns.
-  static constexpr int kFactorDiagSampleKappa = 8;
-
   /// Validates config/shape compatibility and runs model->PrepareForEval()
   /// once. `pool` may be null for fully synchronous serving; all pointers
   /// must outlive the service.
@@ -305,10 +289,10 @@ class RecommendationService {
   /// thin path needs a factor thinner than the pool: MAP takes
   /// kFactorMap for any alpha (greedy only reads entries, all of which
   /// the factor plus blend scalars reproduce); sampling takes
-  /// kDualSample at alpha == 1, kFactorDiagSample at 0 < alpha < 1 only
-  /// on pools of at least kFactorDiagSampleKappa * rank^2, and stays
-  /// primal otherwise (alpha == 0 included, where the primal build is
-  /// trivial).
+  /// kDualSample at alpha == 1 and stays primal otherwise: at alpha == 0
+  /// the primal build is trivial, and at 0 < alpha < 1 the exact
+  /// factor-diag k-DPP loses to the primal eigensolve. kFactorDiagSample
+  /// is never chosen.
   ServePath ChoosePath(const std::vector<int>& pool) const;
 
   /// Distills one request's top-k list from its user's prepared kernel.

@@ -1,9 +1,8 @@
 // Differential campaign for the factor-plus-diagonal representation:
 // FactorDiagSpectrum / FactorDiagEigenvectors against the dense
 // SymmetricEigen oracle, KDpp::CreateFactorDiag against the primal
-// blend build, and the serving layer's factor-diag sampling path against
-// the forced-primal oracle — including the allocation probe proving the
-// pool x pool kernel is never materialized, per-path attribution, the
+// blend build (including the allocation probe proving the n x n kernel
+// is never materialized), the serving layer's per-path attribution, the
 // NaN-config validation regressions, and the Nystrom approximation's
 // computed error bounds.
 
@@ -19,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "core/kdpp.h"
 #include "data/synthetic.h"
 #include "linalg/eigen.h"
@@ -389,6 +387,42 @@ TEST(FactorDiagKDppTest, ExtremeQualityScalesRejectIdentically) {
       << factor_2.status().ToString();
 }
 
+TEST(FactorDiagKDppTest, NeverMaterializesNByNMatrix) {
+  // Allocation-probe proof: building the factor-diag k-DPP and drawing
+  // from it never constructs a Matrix with n^2 elements. The primal
+  // build of the same blend does (that is what the probe is calibrated
+  // against).
+  const int n = 20;
+  const int k = 5;
+  Rng rng(19);
+  const Matrix v = testutil::RandomMatrix(n, 8, &rng);
+  Vector q(n);
+  for (int i = 0; i < n; ++i) q[i] = std::exp(0.5 * rng.Normal());
+  const BlendPieces fd = BlendFactorDiag(v, q, 0.5);
+  LowRankFactor w = MakeLowRank(fd.w);
+  Vector diag = fd.diag;
+  const long n_sq = static_cast<long>(n) * n;
+
+  matrix_probe::Arm();
+  {
+    auto factor_diag =
+        KDpp::CreateFactorDiag(std::move(w), std::move(diag), k);
+    ASSERT_TRUE(factor_diag.ok()) << factor_diag.status().ToString();
+    Rng draws(23);
+    for (int t = 0; t < 10; ++t) ASSERT_TRUE(factor_diag->Sample(&draws).ok());
+  }
+  const long peak_fd = matrix_probe::Disarm();
+  EXPECT_GT(peak_fd, 0);
+  EXPECT_LT(peak_fd, n_sq)
+      << "factor-diag k-DPP materialized an n x n matrix";
+
+  matrix_probe::Arm();
+  ASSERT_TRUE(KDpp::Create(BlendKernel(v, q, 0.5), k).ok());
+  const long peak_primal = matrix_probe::Disarm();
+  EXPECT_GE(peak_primal, n_sq)
+      << "probe calibration: the primal build must materialize the kernel";
+}
+
 TEST(FactorDiagKDppTest, CreateFactorDiagValidatesArguments) {
   Rng rng(3);
   const Matrix v = testutil::RandomMatrix(6, 3, &rng);
@@ -443,22 +477,6 @@ ServeWorld* World() {
   return world;
 }
 
-// A rank-1 diversity kernel over the same items. The world's rank-8
-// kernel needs pools of kFactorDiagSampleKappa * 64 before blended
-// sampling leaves the primal path; at rank 1 the default pool of 20
-// already sits above that crossover, so the factor-diag path engages.
-constexpr int kThinRank = 1;
-static_assert(RecommendationService::kFactorDiagSampleKappa * kThinRank *
-                      kThinRank <=
-                  20,
-              "pool 20 must sit above the factor-diag crossover at rank 1");
-const DiversityKernel* ThinDiversity() {
-  static const DiversityKernel* thin = new DiversityKernel(
-      DiversityKernel::Random(World()->dataset.num_items(), kThinRank,
-                              /*seed=*/29));
-  return thin;
-}
-
 ServeConfig SampleConfig(double alpha) {
   ServeConfig config;
   config.mode = ServeMode::kSample;
@@ -477,112 +495,6 @@ std::vector<RecRequest> RoundRobinBatch(int batch_size, int offset) {
     batch.push_back(RecRequest{(offset + i) % num_users});
   }
   return batch;
-}
-
-TEST(FactorDiagServeTest, BlendedSamplingMatchesForcedPrimalExactly) {
-  ServeWorld* w = World();
-  for (double alpha : {0.25, 0.5, 0.99}) {
-    ServeConfig fd_cfg = SampleConfig(alpha);
-    ServeConfig primal_cfg = fd_cfg;
-    primal_cfg.force_primal = true;
-    auto fd_service = RecommendationService::Create(
-        &w->dataset, w->model.get(), ThinDiversity(), nullptr, fd_cfg);
-    auto primal_service = RecommendationService::Create(
-        &w->dataset, w->model.get(), ThinDiversity(), nullptr, primal_cfg);
-    ASSERT_TRUE(fd_service.ok());
-    ASSERT_TRUE(primal_service.ok());
-    int factor_diag_responses = 0;
-    for (int b = 0; b < 3; ++b) {
-      auto rf = (*fd_service)->HandleBatch(RoundRobinBatch(24, b * 5));
-      auto rp = (*primal_service)->HandleBatch(RoundRobinBatch(24, b * 5));
-      ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-      ASSERT_EQ(rf->size(), rp->size());
-      for (size_t i = 0; i < rf->size(); ++i) {
-        EXPECT_EQ((*rf)[i].items, (*rp)[i].items)
-            << "alpha " << alpha << " batch " << b << " request " << i
-            << ": factor-diag and primal sampling diverged";
-        EXPECT_EQ((*rp)[i].path, ServePath::kPrimal);
-        if ((*rf)[i].path == ServePath::kFactorDiagSample) {
-          ++factor_diag_responses;
-        }
-      }
-    }
-    // The factor-diag path actually engaged (pool 20 >= kappa * 1^2).
-    EXPECT_GT(factor_diag_responses, 0) << "alpha " << alpha;
-  }
-}
-
-TEST(FactorDiagServeTest, NeverMaterializesPoolByPoolKernel) {
-  // Allocation-probe proof: a synchronous (pool-less) service running
-  // blended sampling through the factor-diag path never constructs a
-  // Matrix with pool_size^2 elements. The forced-primal oracle on the
-  // same batch does (that is what the probe is calibrated against).
-  ServeWorld* w = World();
-  ServeConfig fd_cfg = SampleConfig(0.5);
-  fd_cfg.cache_capacity = 0;  // Every request rebuilds: probe sees builds.
-  auto fd_service = RecommendationService::Create(
-      &w->dataset, w->model.get(), ThinDiversity(), nullptr, fd_cfg);
-  ASSERT_TRUE(fd_service.ok());
-  const long pool_sq =
-      static_cast<long>(fd_cfg.pool_size) * fd_cfg.pool_size;
-  matrix_probe::Arm();
-  auto fd_responses = (*fd_service)->HandleBatch(RoundRobinBatch(8, 0));
-  const long peak_fd = matrix_probe::Disarm();
-  ASSERT_TRUE(fd_responses.ok());
-  for (const RecResponse& r : *fd_responses) {
-    if (r.items.empty()) continue;
-    EXPECT_EQ(r.path, ServePath::kFactorDiagSample);
-  }
-  EXPECT_GT(peak_fd, 0);
-  EXPECT_LT(peak_fd, pool_sq)
-      << "factor-diag sampling materialized a pool x pool matrix";
-
-  ServeConfig primal_cfg = fd_cfg;
-  primal_cfg.force_primal = true;
-  auto primal_service = RecommendationService::Create(
-      &w->dataset, w->model.get(), ThinDiversity(), nullptr, primal_cfg);
-  ASSERT_TRUE(primal_service.ok());
-  matrix_probe::Arm();
-  ASSERT_TRUE((*primal_service)->HandleBatch(RoundRobinBatch(8, 0)).ok());
-  const long peak_primal = matrix_probe::Disarm();
-  EXPECT_GE(peak_primal, pool_sq)
-      << "probe calibration: the primal path must materialize the kernel";
-}
-
-TEST(FactorDiagServeTest, BitIdenticalAcrossThreadCounts) {
-  ServeWorld* w = World();
-  auto serve_many = [&](int threads) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    auto service = RecommendationService::Create(
-        &w->dataset, w->model.get(), ThinDiversity(), pool.get(),
-        SampleConfig(0.5));
-    service.status().CheckOK();
-    std::vector<std::vector<int>> all_items;
-    bool saw_factor_diag = false;
-    for (int b = 0; b < 4; ++b) {
-      auto responses = (*service)->HandleBatch(RoundRobinBatch(25, b * 7));
-      responses.status().CheckOK();
-      for (const RecResponse& r : *responses) {
-        all_items.push_back(r.items);
-        saw_factor_diag =
-            saw_factor_diag || r.path == ServePath::kFactorDiagSample;
-      }
-    }
-    EXPECT_TRUE(saw_factor_diag);
-    return all_items;
-  };
-  const auto serial = serve_many(/*threads=*/1);
-  for (int threads : {4, 8}) {
-    const auto parallel = serve_many(threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i], serial[i])
-          << "factor-diag response " << i << " diverged at " << threads
-          << " threads";
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -607,63 +519,41 @@ TEST(FactorDiagServeTest, PathAttributionIsPerRepresentation) {
             "\"}",
         obs::LatencyBucketsMs());
   };
-  // The path each (mode, alpha) takes in three shapes: rank-8 factor
-  // with pools wider than it (20) but below the blended-sampling
-  // crossover (kFactorDiagSampleKappa * 8^2), rank-8 factor with pools
-  // narrower than it (6), and a rank-1 factor whose pools of 20 sit above
-  // the crossover. force_primal pins kPrimal in every cell.
+  // The path each (mode, alpha) takes when pools are wider than the
+  // factor rank (8) and when they are narrower; force_primal pins
+  // kPrimal in every cell. Blended sampling builds primally at every
+  // pool size.
   struct Row {
     ServeMode mode;
     double alpha;
     ServePath wide_pool;
     ServePath narrow_pool;
-    ServePath above_crossover;
   };
   const Row kTable[] = {
-      {ServeMode::kMapRerank, 0.0, ServePath::kDiagMap, ServePath::kDiagMap,
-       ServePath::kDiagMap},
-      {ServeMode::kMapRerank, 0.4, ServePath::kFactorMap, ServePath::kPrimal,
-       ServePath::kFactorMap},
-      {ServeMode::kMapRerank, 1.0, ServePath::kFactorMap, ServePath::kPrimal,
-       ServePath::kFactorMap},
-      {ServeMode::kSample, 0.0, ServePath::kPrimal, ServePath::kPrimal,
-       ServePath::kPrimal},
-      {ServeMode::kSample, 0.4, ServePath::kPrimal, ServePath::kPrimal,
-       ServePath::kFactorDiagSample},
-      {ServeMode::kSample, 1.0, ServePath::kDualSample, ServePath::kPrimal,
-       ServePath::kDualSample},
+      {ServeMode::kMapRerank, 0.0, ServePath::kDiagMap, ServePath::kDiagMap},
+      {ServeMode::kMapRerank, 0.4, ServePath::kFactorMap, ServePath::kPrimal},
+      {ServeMode::kMapRerank, 1.0, ServePath::kFactorMap, ServePath::kPrimal},
+      {ServeMode::kSample, 0.0, ServePath::kPrimal, ServePath::kPrimal},
+      {ServeMode::kSample, 0.4, ServePath::kPrimal, ServePath::kPrimal},
+      {ServeMode::kSample, 1.0, ServePath::kDualSample, ServePath::kPrimal},
   };
-  struct Shape {
-    const DiversityKernel* diversity;
-    int pool_size;
-    ServePath Row::*expected;
-  };
-  const Shape kShapes[] = {{&w->diversity, 20, &Row::wide_pool},
-                           {&w->diversity, 6, &Row::narrow_pool},
-                           {ThinDiversity(), 20, &Row::above_crossover}};
   for (const Row& row : kTable) {
     for (bool force_primal : {false, true}) {
-      for (const Shape& shape : kShapes) {
-        // Unblended sampling over a rank-1 kernel has no positive-mass
-        // subset of size top_k, on any path.
-        if (row.mode == ServeMode::kSample && row.alpha == 1.0 &&
-            shape.diversity->rank() < SampleConfig(1.0).top_k) {
-          continue;
-        }
+      for (int pool_size : {20, 6}) {
         const ServePath expected =
-            force_primal ? ServePath::kPrimal : row.*shape.expected;
+            force_primal ? ServePath::kPrimal
+                         : pool_size > 8 ? row.wide_pool : row.narrow_pool;
         ServeConfig cfg = SampleConfig(row.alpha);
         cfg.mode = row.mode;
         cfg.force_primal = force_primal;
-        cfg.pool_size = shape.pool_size;
+        cfg.pool_size = pool_size;
         SCOPED_TRACE(std::string(ServeModeName(row.mode)) + " alpha=" +
                      std::to_string(row.alpha) +
                      " force_primal=" + std::to_string(force_primal) +
-                     " rank=" + std::to_string(shape.diversity->rank()) +
-                     " pool=" + std::to_string(shape.pool_size) +
+                     " pool=" + std::to_string(pool_size) +
                      " expected=" + ServePathName(expected));
         auto service = RecommendationService::Create(
-            &w->dataset, w->model.get(), shape.diversity, nullptr, cfg);
+            &w->dataset, w->model.get(), &w->diversity, nullptr, cfg);
         ASSERT_TRUE(service.ok());
         std::vector<long> totals_before;
         std::vector<long> builds_before;
@@ -880,13 +770,20 @@ TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
       testutil::RandomMatrix(w->dataset.num_items(), 6, &rng);
   obs::Counter* fallback = obs::MetricsRegistry::Global().GetCounter(
       "lkp_serve_approx_fallback_total");
+  // Blended MAP rerank: the mode whose thin path (kFactorMap) a factor
+  // thinner than the pool engages at 0 < alpha < 1.
+  auto map_config = [] {
+    ServeConfig cfg = SampleConfig(0.5);
+    cfg.mode = ServeMode::kMapRerank;
+    return cfg;
+  };
 
   // Default config (approx_factor_rank == 0): approximation disabled,
   // every pool serves exactly through the primal path.
   {
     auto service = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        SampleConfig(0.5));
+        map_config());
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     auto responses = (*service)->HandleBatch(RoundRobinBatch(12, 0));
     ASSERT_TRUE(responses.ok()) << responses.status().ToString();
@@ -896,12 +793,10 @@ TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
     }
   }
 
-  // Opt in with a generous budget: factor-backed sampling engages. A
-  // rank-1 Nystrom factor puts pools of 20 above the factor-diag
-  // crossover (kFactorDiagSampleKappa * rank^2).
+  // Opt in with a generous budget: the factor-backed rep engages.
   {
-    ServeConfig cfg = SampleConfig(0.5);
-    cfg.approx_factor_rank = kThinRank;
+    ServeConfig cfg = map_config();
+    cfg.approx_factor_rank = 6;
     cfg.approx_error_budget = 1.0;  // Gaussian entries are <= 1 anyway.
     auto service = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
@@ -911,25 +806,24 @@ TEST(GaussianServeTest, ApproximationIsOptInAndBudgetGated) {
     ASSERT_TRUE(responses.ok()) << responses.status().ToString();
     bool engaged = false;
     for (const RecResponse& r : *responses) {
-      engaged = engaged || r.path == ServePath::kFactorDiagSample;
+      engaged = engaged || r.path == ServePath::kFactorMap;
     }
     EXPECT_TRUE(engaged) << "approximate factor never engaged";
   }
 
   // Opt in with an impossible budget: every pool falls back to the
   // exact primal build, the fallback counter says so, and the responses
-  // are bit-identical to the never-opted-in service. Rank 1 again, so
-  // the factor path is chosen and the budget gate is what demotes it.
+  // are bit-identical to the never-opted-in service.
   {
-    ServeConfig cfg = SampleConfig(0.5);
-    cfg.approx_factor_rank = kThinRank;
+    ServeConfig cfg = map_config();
+    cfg.approx_factor_rank = 4;
     cfg.approx_error_budget = 0.0;
     auto gated = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
         cfg);
     auto exact = RecommendationService::CreateGaussian(
         &w->dataset, w->model.get(), Matrix(embeddings), 1.5, nullptr,
-        SampleConfig(0.5));
+        map_config());
     ASSERT_TRUE(gated.ok());
     ASSERT_TRUE(exact.ok());
     const long before = fallback->Value();

@@ -611,7 +611,8 @@ TEST(ServeTest, PrimalSampleEntryKeepsNoKernelCopy) {
 
   const std::vector<int> pool = GroundSetBuilder::BuildServingPool(
       w->dataset, user, w->model->ScoreAllItems(user), config.pool_size);
-  const auto entry = (*service)->cache().Peek(user, HashGroundSet(pool));
+  const auto entry = const_cast<KernelCache&>((*service)->cache())
+                         .Get(user, HashGroundSet(pool));
   ASSERT_NE(entry, nullptr);
   ASSERT_NE(entry->kdpp, nullptr);
   EXPECT_EQ(entry->rep, nullptr);
