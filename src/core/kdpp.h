@@ -32,7 +32,7 @@ namespace lkpdpp {
 /// O(m d^2 + d^3) instead of O(m^3), each Sample costs O(m d k), and the
 /// m x m kernel is never materialized. The factor-diag one
 /// (CreateFactorDiag) takes L = W W^T + Diag(diag) — the blended
-/// serving kernel after quality conditioning — computes the full
+/// kernel after quality conditioning — computes the full
 /// m-length spectrum by inertia bisection (linalg/factor_diag.h), and
 /// materializes only the k eigenvectors each draw selects; memory stays
 /// O(m d), still never m x m. All define the same distribution; the
