@@ -83,6 +83,12 @@ class Dataset {
   /// (membership test backed by per-user sorted arrays).
   bool IsObserved(int user, int item) const;
 
+  /// The train and validation positives of `user`, sorted ascending:
+  /// the set IsObserved tests, for callers that walk the whole catalog.
+  const std::vector<int>& ObservedSorted(int user) const {
+    return observed_sorted_[static_cast<size_t>(user)];
+  }
+
   /// Categories of an item (possibly several).
   const std::vector<int>& ItemCategories(int item) const {
     return categories_.item_categories[static_cast<size_t>(item)];

@@ -390,11 +390,36 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 
 Vector MatVec(const Matrix& a, const Vector& x) {
   LKP_CHECK_EQ(a.cols(), x.size());
-  Vector out(a.rows());
-  for (int i = 0; i < a.rows(); ++i) {
+  const int m = a.rows();
+  const int d = a.cols();
+  const double* xv = x.data();
+  Vector out(m);
+  // Four rows per sweep of x, each with its own accumulator: the four
+  // dependency chains overlap, while every row still sums j = 0..d-1 in
+  // order, so each entry is bit-identical to a one-row dot product.
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* r0 = a.RowPtr(i);
+    const double* r1 = r0 + d;
+    const double* r2 = r1 + d;
+    const double* r3 = r2 + d;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (int j = 0; j < d; ++j) {
+      const double xj = xv[j];
+      s0 += r0[j] * xj;
+      s1 += r1[j] * xj;
+      s2 += r2[j] * xj;
+      s3 += r3[j] * xj;
+    }
+    out[i] = s0;
+    out[i + 1] = s1;
+    out[i + 2] = s2;
+    out[i + 3] = s3;
+  }
+  for (; i < m; ++i) {
     const double* row = a.RowPtr(i);
     double s = 0.0;
-    for (int j = 0; j < a.cols(); ++j) s += row[j] * x[j];
+    for (int j = 0; j < d; ++j) s += row[j] * xv[j];
     out[i] = s;
   }
   return out;

@@ -77,28 +77,40 @@ std::vector<int> GroundSetBuilder::BuildServingPool(const Dataset& dataset,
                                                     const Vector& scores,
                                                     int pool_size) {
   LKP_CHECK_EQ(scores.size(), dataset.num_items());
-  std::vector<int> candidates;
-  candidates.reserve(static_cast<size_t>(dataset.num_items()));
-  for (int i = 0; i < dataset.num_items(); ++i) {
-    if (!dataset.IsObserved(user, i)) candidates.push_back(i);
+  if (pool_size <= 0) return {};
+  // Strict total order: higher score first, smaller id on ties.
+  auto better = [&scores](int a, int b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  };
+  // Bounded heap of the best pool_size unobserved items, worst on top.
+  // Items arrive in ascending id order, so once the heap is full a
+  // newcomer beats the worst kept item only with a strictly higher
+  // score (on a tie its larger id loses).
+  const size_t cap =
+      static_cast<size_t>(std::min(pool_size, dataset.num_items()));
+  std::vector<int> heap;
+  heap.reserve(cap);
+  auto offer = [&](int item) {
+    if (heap.size() < cap) {
+      heap.push_back(item);
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (scores[item] > scores[heap.front()]) {
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = item;
+      std::push_heap(heap.begin(), heap.end(), better);
+    }
+  };
+  // Merge walk: the unobserved items are the gaps between consecutive
+  // entries of the sorted observed list.
+  int next = 0;
+  for (int observed : dataset.ObservedSorted(user)) {
+    for (; next < observed; ++next) offer(next);
+    next = std::max(next, observed + 1);
   }
-  if (pool_size < static_cast<int>(candidates.size())) {
-    std::partial_sort(candidates.begin(), candidates.begin() + pool_size,
-                      candidates.end(), [&scores](int a, int b) {
-                        if (scores[a] != scores[b]) {
-                          return scores[a] > scores[b];
-                        }
-                        return a < b;
-                      });
-    candidates.resize(static_cast<size_t>(pool_size));
-  } else {
-    std::sort(candidates.begin(), candidates.end(),
-              [&scores](int a, int b) {
-                if (scores[a] != scores[b]) return scores[a] > scores[b];
-                return a < b;
-              });
-  }
-  return candidates;
+  for (; next < dataset.num_items(); ++next) offer(next);
+  std::sort_heap(heap.begin(), heap.end(), better);
+  return heap;
 }
 
 }  // namespace lkpdpp

@@ -149,6 +149,25 @@ std::shared_ptr<const ServedKernel> KernelCache::Get(int user,
   return it->second->second;
 }
 
+std::shared_ptr<const ServedKernel> KernelCache::GetCurrent(
+    int user, uint64_t model_version) {
+  if (capacity_ == 0) return nullptr;
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard->mu);
+    auto bucket = shard->user_keys.find(user);
+    if (bucket == shard->user_keys.end()) continue;
+    for (const Key& key : bucket->second) {
+      auto it = shard->index.at(key);
+      if (it->second->model_version != model_version) continue;
+      hits_.Inc();
+      CacheHitsTotal()->Inc();
+      shard->lru.splice(shard->lru.begin(), shard->lru, it);
+      return it->second;
+    }
+  }
+  return nullptr;
+}
+
 void KernelCache::PutLocked(Shard& shard, const Key& key,
                             std::shared_ptr<const ServedKernel> value) {
   auto it = shard.index.find(key);

@@ -30,12 +30,15 @@
 // the item), so InvalidateUsers/InvalidateItems evict exactly the
 // entries whose inputs changed — any entry owned by a touched user, or
 // whose pool contains a touched item — and leave everything else warm.
-// Pool-membership drift needs no invalidation at all: the key includes
-// the ground-set hash, so a pool recomputed from fresh scores that
-// admits or drops an item simply misses and rebuilds, while the stale
-// pool's entry ages out by LRU. Clear() remains the blunt fallback for
-// full retrains / model swaps (the service owns this; see
-// RecommendationService::InvalidateModel).
+// Pool-membership drift needs no invalidation: the key includes the
+// ground-set hash, so a pool recomputed from fresh scores that admits or
+// drops an item simply misses and rebuilds, while the stale pool's entry
+// ages out by LRU. Because a user's pool is a pure function of (user,
+// model_version), an entry stamped with the current version is also the
+// user's current pool: GetCurrent finds it through the user reverse
+// index without the caller recomputing the pool at all. Clear() remains
+// the blunt fallback for full retrains / model swaps (the service owns
+// this; see RecommendationService::InvalidateModel).
 
 #ifndef LKPDPP_SERVE_KERNEL_CACHE_H_
 #define LKPDPP_SERVE_KERNEL_CACHE_H_
@@ -100,10 +103,12 @@ struct ServedKernel {
   /// and one service's cache can hold a mix when pool sizes straddle the
   /// factor rank. All kinds ride the same versioned invalidation below.
   std::shared_ptr<const KDpp> kdpp;
-  /// The model_version epoch the kernel was computed under (stamped by
-  /// the service's builder). Targeted invalidation keeps entries from
-  /// ever being SERVED stale, so a surviving entry's stamp only says how
-  /// old its (still valid) inputs are — observability, not correctness.
+  /// The model_version epoch the kernel (and its pool) was computed
+  /// under, stamped by the service's builder. Targeted invalidation
+  /// keeps entries from ever being served stale, but only an entry
+  /// stamped with the current version is known to hold the user's
+  /// current pool: KernelCache::GetCurrent serves exactly those, which
+  /// lets the service skip scoring and pool selection for the user.
   uint64_t model_version = 0;
 };
 
@@ -150,6 +155,13 @@ class KernelCache {
   Result<std::shared_ptr<const ServedKernel>> GetOrBuild(
       int user, uint64_t ground_hash, const std::vector<int>& items,
       const Builder& build, bool* was_hit = nullptr);
+
+  /// The entry of `user` stamped with `model_version`, or null. A hit
+  /// counts and refreshes recency exactly as a GetOrBuild hit on that
+  /// entry would; a miss counts nothing (the caller's GetOrBuild does).
+  /// Walks every shard's user reverse index: O(shards + user's entries).
+  std::shared_ptr<const ServedKernel> GetCurrent(int user,
+                                                 uint64_t model_version);
 
   /// Targeted invalidation: evicts every entry keyed on one of `users`
   /// (any ground set), via the per-shard user reverse index. Returns the

@@ -62,6 +62,11 @@ obs::Counter* PathTotal(ServePath path) {
       series(ServePath::kDiagMap)};
   return by_path[static_cast<int>(path)];
 }
+obs::Counter* PoolReuseTotal() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_pool_reuse_total");
+  return counter;
+}
 obs::Counter* ApproxFallbackTotal() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "lkp_serve_approx_fallback_total");
@@ -461,7 +466,11 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     }
   }
 
-  // Stage 1: score each unique user's catalog once, in one parallel pass.
+  // Stage 1, one parallel pass over the batch's unique users: a user
+  // with a cache entry stamped with the current model version reuses
+  // that entry's pool and kernel outright (a pool is a pure function of
+  // user and version, see ApplyUpdate/InvalidateModel); every other
+  // user's catalog is scored once.
   std::unordered_map<int, int> slot_of_user;
   std::vector<int> unique_users;
   std::vector<int> request_slot(batch.size());
@@ -472,10 +481,24 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     request_slot[i] = it->second;
   }
   const int num_unique = static_cast<int>(unique_users.size());
+  const uint64_t version = model_version();
+  // Resolved before any hit, so the family exports (as 0) even when
+  // version churn defeats every reuse.
+  obs::Counter* pool_reuse = PoolReuseTotal();
   std::vector<Vector> scores(unique_users.size());
+  std::vector<UserWork> works(unique_users.size());
   auto score_user = [&](int i) {
-    scores[static_cast<size_t>(i)] =
-        model_->ScoreAllItems(unique_users[static_cast<size_t>(i)]);
+    const size_t idx = static_cast<size_t>(i);
+    Stopwatch timer;
+    if (auto entry = cache_.GetCurrent(unique_users[idx], version)) {
+      pool_reuse->Inc();
+      works[idx].pool = entry->items;
+      works[idx].entry = std::move(entry);
+      works[idx].cache_hit = true;
+      works[idx].kernel_ms = timer.ElapsedMillis();
+      return;
+    }
+    scores[idx] = model_->ScoreAllItems(unique_users[idx]);
   };
   {
     LKP_TRACE_SPAN("serve.score");
@@ -499,15 +522,19 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
     }
   }
 
-  // Stage 3: kernel work once per unique user — duplicate requests for
-  // a user share the O(n^3) build even when the cache is cold or off
-  // (and, through the cache's in-flight guard, even across concurrent
-  // batches). Grain stays 1: per-user cost is large and uneven (hit vs
-  // O(n^3) miss), so fine-grained claiming balances best.
-  std::vector<UserWork> works(unique_users.size());
+  // Stage 3: pool and kernel work once per scored user — duplicate
+  // requests for a user share the O(n^3) build even when the cache is
+  // cold or off (and, through the cache's in-flight guard, even across
+  // concurrent batches). Grain stays 1: per-user cost is large and
+  // uneven (hit vs O(n^3) miss), so fine-grained claiming balances best.
+  std::vector<int> scored;
+  for (int i = 0; i < num_unique; ++i) {
+    if (!works[static_cast<size_t>(i)].cache_hit) scored.push_back(i);
+  }
+  const int num_scored = static_cast<int>(scored.size());
   std::vector<Status> user_statuses(unique_users.size(), Status::OK());
-  auto prepare_user = [&](int i) {
-    const size_t idx = static_cast<size_t>(i);
+  auto prepare_user = [&](int s) {
+    const size_t idx = static_cast<size_t>(scored[static_cast<size_t>(s)]);
     Result<UserWork> w = PrepareUser(unique_users[idx], scores[idx]);
     if (w.ok()) {
       works[idx] = std::move(w).ValueOrDie();
@@ -518,9 +545,9 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
   {
     LKP_TRACE_SPAN("serve.prepare");
     if (pool_ != nullptr) {
-      pool_->ParallelFor(num_unique, prepare_user);
+      pool_->ParallelFor(num_scored, prepare_user);
     } else {
-      for (int i = 0; i < num_unique; ++i) prepare_user(i);
+      for (int s = 0; s < num_scored; ++s) prepare_user(s);
     }
   }
   for (const Status& s : user_statuses) {

@@ -13,9 +13,10 @@
 //      each caller's std::future resolves when its batch completes. The
 //      synchronous HandleBatch path remains for callers that already
 //      have a batch in hand.
-//   2. Batching — HandleBatch deduplicates users and evaluates model
-//      scores for the whole batch in one parallel pass before any
-//      per-request work runs.
+//   2. Batching — HandleBatch deduplicates users and, in one parallel
+//      pass before any per-request work runs, either reuses a user's
+//      version-current cache entry (its pool and kernel; no scoring) or
+//      evaluates the user's model scores.
 //   3. KernelCache — sampling-mode entries memoize the conditioned
 //      kernel's eigenpairs (the kernel itself is dropped after the
 //      eigensolve) per (user, ground-set hash) in a lock-striped sharded
@@ -166,8 +167,10 @@ struct RecResponse {
 };
 
 /// Serves diversified top-k lists for a fixed trained model. Thread-safe
-/// once constructed; the model must not be mutated while the service is
-/// live (call InvalidateModel after retraining).
+/// once constructed. The model may change only through ApplyUpdate, or
+/// be followed by InvalidateModel (after retraining): HandleBatch treats
+/// a user's candidate pool as a pure function of (user, model_version)
+/// and reuses a cached pool without rescoring.
 class RecommendationService {
  public:
   /// Validates config/shape compatibility and runs model->PrepareForEval()
@@ -192,13 +195,17 @@ class RecommendationService {
   /// before returning.
   ~RecommendationService();
 
-  /// Serves a batch of requests in three parallel passes keyed on the
-  /// batch's unique users: (1) score each user's catalog once, (2) build
-  /// or fetch each user's served kernel once — duplicate requests for a
-  /// user share the O(n^3) work even on a cold or disabled cache — and
-  /// (3) distill each request's top-k list. Responses come back in
-  /// request order. Fails on out-of-range users or numerical breakdown;
-  /// an empty batch yields an empty vector.
+  /// Serves a batch of requests in three parallel passes: (1) per unique
+  /// user, reuse the cache entry stamped with the current model_version
+  /// (KernelCache::GetCurrent: its pool and kernel, counted in
+  /// lkp_serve_pool_reuse_total) or else score the user's catalog once,
+  /// (2) for each scored user, build the pool and build or fetch its
+  /// served kernel once — duplicate requests for a user share the
+  /// O(n^3) work even on a cold or disabled cache — and (3) distill each
+  /// request's top-k list. Responses come back in request order and are
+  /// identical whether or not a user's pool was reused. Fails on
+  /// out-of-range users or numerical breakdown; an empty batch yields an
+  /// empty vector.
   Result<std::vector<RecResponse>> HandleBatch(
       const std::vector<RecRequest>& batch);
 

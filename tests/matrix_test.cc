@@ -212,6 +212,26 @@ TEST(MatVecTest, MatchesMatMul) {
   }
 }
 
+TEST(MatVecTest, BitIdenticalToPerRowDot) {
+  // Row counts 0-9 cover every remainder of MatVec's four-row blocks;
+  // each entry must equal the in-order one-row dot product exactly.
+  Rng rng(13);
+  for (int rows = 0; rows <= 9; ++rows) {
+    for (int cols : {1, 16, 17}) {
+      const Matrix a = RandomMatrix(rows, cols, &rng);
+      Vector x(cols);
+      for (int c = 0; c < cols; ++c) x[c] = rng.Normal();
+      const Vector got = MatVec(a, x);
+      ASSERT_EQ(got.size(), rows);
+      for (int r = 0; r < rows; ++r) {
+        double expected = 0.0;
+        for (int c = 0; c < cols; ++c) expected += a(r, c) * x[c];
+        EXPECT_EQ(got[r], expected) << rows << "x" << cols << " row " << r;
+      }
+    }
+  }
+}
+
 TEST(MatVecTest, TransAMatchesTranspose) {
   Rng rng(11);
   Matrix a = RandomMatrix(4, 3, &rng);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -640,6 +641,178 @@ TEST(ServeTest, ServingPoolIsScoreSortedAndUnobserved) {
   const std::vector<int> all = GroundSetBuilder::BuildServingPool(
       w->dataset, user, scores, w->dataset.num_items() + 5);
   EXPECT_LT(static_cast<int>(all.size()), w->dataset.num_items() + 5);
+}
+
+TEST(ServeTest, ServingPoolMatchesFullSortReference) {
+  // Scores take five values, so ties are common and the id tie-break
+  // decides most of the order.
+  ServeWorld* w = World();
+  const int num_items = w->dataset.num_items();
+  for (int user : {0, 1, 7}) {
+    Vector scores(num_items);
+    for (int i = 0; i < num_items; ++i) {
+      scores[i] = static_cast<double>((i * 37 + user) % 5);
+    }
+    std::vector<int> reference;
+    for (int i = 0; i < num_items; ++i) {
+      if (!w->dataset.IsObserved(user, i)) reference.push_back(i);
+    }
+    std::sort(reference.begin(), reference.end(), [&scores](int a, int b) {
+      if (scores[a] != scores[b]) return scores[a] > scores[b];
+      return a < b;
+    });
+    const int unobserved = static_cast<int>(reference.size());
+    ASSERT_LT(unobserved, num_items) << "user " << user << " observes nothing";
+    for (int pool_size : {1, 30, unobserved + 5}) {
+      const std::vector<int> expected(
+          reference.begin(),
+          reference.begin() + std::min(pool_size, unobserved));
+      EXPECT_EQ(GroundSetBuilder::BuildServingPool(w->dataset, user, scores,
+                                                   pool_size),
+                expected)
+          << "user " << user << " pool_size " << pool_size;
+    }
+  }
+}
+
+// Counts ScoreAllItems calls per user on a wrapped model.
+class CountingModel : public RecModel {
+ public:
+  explicit CountingModel(RecModel* inner)
+      : inner_(inner), calls_(static_cast<size_t>(inner->num_users()), 0) {}
+
+  std::string name() const override { return inner_->name(); }
+  int num_users() const override { return inner_->num_users(); }
+  int num_items() const override { return inner_->num_items(); }
+  std::unique_ptr<Batch> StartBatch() override {
+    return inner_->StartBatch();
+  }
+  void PrepareForEval() override { inner_->PrepareForEval(); }
+  Vector ScoreAllItems(int user) const override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++calls_[static_cast<size_t>(user)];
+    }
+    return inner_->ScoreAllItems(user);
+  }
+  std::vector<ad::Param*> Params() override { return inner_->Params(); }
+  QualityTransform PreferredQuality() const override {
+    return inner_->PreferredQuality();
+  }
+
+  long calls(int user) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return calls_[static_cast<size_t>(user)];
+  }
+  long total_calls() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    long total = 0;
+    for (long c : calls_) total += c;
+    return total;
+  }
+
+ private:
+  RecModel* inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<long> calls_;
+};
+
+TEST(ServeTest, VersionCurrentHitSkipsCandidateGeneration) {
+  ServeWorld* w = World();
+  obs::Counter* reuse = obs::MetricsRegistry::Global().GetCounter(
+      "lkp_serve_pool_reuse_total");
+  {
+    CountingModel model(w->model.get());
+    auto service = RecommendationService::Create(
+        &w->dataset, &model, &w->diversity, nullptr,
+        BaseConfig(ServeMode::kSample));
+    ASSERT_TRUE(service.ok());
+    RecommendationService& svc = **service;
+    const int user = 4;
+    ASSERT_TRUE(svc.HandleOne(user).ok());
+    ASSERT_EQ(model.calls(user), 1);
+
+    // Warm and version-current: no scoring, one reuse per unique user.
+    const long reuse_before = reuse->Value();
+    auto warm = svc.HandleBatch({RecRequest{user}, RecRequest{user}});
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(model.calls(user), 1);
+    EXPECT_TRUE((*warm)[0].cache_hit);
+    EXPECT_TRUE((*warm)[1].cache_hit);
+    EXPECT_EQ(reuse->Value() - reuse_before, 1);
+
+    // An update touching only another user leaves the entry resident but
+    // stamped with an old version: the user is rescored, then hits.
+    svc.ApplyUpdate([](std::vector<int>* users, std::vector<int>*) {
+      users->push_back(9);
+    });
+    auto after_update = svc.HandleOne(user);
+    ASSERT_TRUE(after_update.ok());
+    EXPECT_TRUE(after_update->cache_hit);
+    EXPECT_EQ(model.calls(user), 2);
+
+    // InvalidateModel keeps the version but empties the cache: rescored
+    // and rebuilt, after which the rebuilt entry is reused again.
+    svc.InvalidateModel();
+    auto rebuilt = svc.HandleOne(user);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_FALSE(rebuilt->cache_hit);
+    EXPECT_EQ(model.calls(user), 3);
+    ASSERT_TRUE(svc.HandleOne(user).ok());
+    EXPECT_EQ(model.calls(user), 3);
+  }
+
+  // A repeated-user trace with a mid-trace update serves exactly what a
+  // service that never skips (cache_capacity = 0) serves.
+  std::vector<RecRequest> trace;
+  for (int i = 0; i < 200; ++i) {
+    trace.push_back(RecRequest{(i * i + 3 * i) % 13});
+  }
+  for (ServeMode mode : {ServeMode::kMapRerank, ServeMode::kSample}) {
+    for (int threads : {0, 4}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      CountingModel model(w->model.get());
+      ServeConfig uncached_config = BaseConfig(mode);
+      uncached_config.cache_capacity = 0;
+      auto cached = RecommendationService::Create(
+          &w->dataset, &model, &w->diversity, pool.get(), BaseConfig(mode));
+      auto uncached = RecommendationService::Create(
+          &w->dataset, w->model.get(), &w->diversity, pool.get(),
+          uncached_config);
+      ASSERT_TRUE(cached.ok());
+      ASSERT_TRUE(uncached.ok());
+      const long reuse_before = reuse->Value();
+      long scored_without_skip = 0;
+      for (size_t start = 0; start < trace.size(); start += 20) {
+        if (start == 100) {
+          for (auto* svc : {cached->get(), uncached->get()}) {
+            svc->ApplyUpdate([](std::vector<int>* users, std::vector<int>*) {
+              users->push_back(2);
+            });
+          }
+        }
+        const std::vector<RecRequest> batch(trace.begin() + start,
+                                            trace.begin() + start + 20);
+        std::set<int> unique_users;
+        for (const RecRequest& r : batch) unique_users.insert(r.user);
+        scored_without_skip += static_cast<long>(unique_users.size());
+        auto a = (*cached)->HandleBatch(batch);
+        auto b = (*uncached)->HandleBatch(batch);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_EQ((*a)[i].items, (*b)[i].items)
+              << ServeModeName(mode) << " threads " << threads
+              << " request " << start + i;
+          EXPECT_EQ((*a)[i].path, (*b)[i].path);
+        }
+      }
+      const long reused = reuse->Value() - reuse_before;
+      EXPECT_GT(reused, 0) << ServeModeName(mode) << " threads " << threads;
+      EXPECT_EQ(model.total_calls() + reused, scored_without_skip);
+    }
+  }
 }
 
 TEST(ServeTest, SampleModeVariesAcrossRequestsButNotAcrossRuns) {
