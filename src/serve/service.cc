@@ -526,15 +526,12 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
   // requests for a user share the O(n^3) build even when the cache is
   // cold or off (and, through the cache's in-flight guard, even across
   // concurrent batches). Grain stays 1: per-user cost is large and
-  // uneven (hit vs O(n^3) miss), so fine-grained claiming balances best.
-  std::vector<int> scored;
-  for (int i = 0; i < num_unique; ++i) {
-    if (!works[static_cast<size_t>(i)].cache_hit) scored.push_back(i);
-  }
-  const int num_scored = static_cast<int>(scored.size());
+  // uneven (reuse vs hit vs O(n^3) miss), so fine-grained claiming
+  // balances best.
   std::vector<Status> user_statuses(unique_users.size(), Status::OK());
-  auto prepare_user = [&](int s) {
-    const size_t idx = static_cast<size_t>(scored[static_cast<size_t>(s)]);
+  auto prepare_user = [&](int i) {
+    const size_t idx = static_cast<size_t>(i);
+    if (works[idx].cache_hit) return;  // Pool reused in stage 1.
     Result<UserWork> w = PrepareUser(unique_users[idx], scores[idx]);
     if (w.ok()) {
       works[idx] = std::move(w).ValueOrDie();
@@ -545,9 +542,9 @@ Result<std::vector<RecResponse>> RecommendationService::HandleBatch(
   {
     LKP_TRACE_SPAN("serve.prepare");
     if (pool_ != nullptr) {
-      pool_->ParallelFor(num_scored, prepare_user);
+      pool_->ParallelFor(num_unique, prepare_user);
     } else {
-      for (int s = 0; s < num_scored; ++s) prepare_user(s);
+      for (int i = 0; i < num_unique; ++i) prepare_user(i);
     }
   }
   for (const Status& s : user_statuses) {
