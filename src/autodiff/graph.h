@@ -26,6 +26,8 @@
 #ifndef LKPDPP_AUTODIFF_GRAPH_H_
 #define LKPDPP_AUTODIFF_GRAPH_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <utility>
@@ -61,7 +63,18 @@ struct Param {
       : name(std::move(n)), value(std::move(v)),
         grad(value.rows(), value.cols()) {}
 
-  void ZeroGrad() { grad = Matrix(value.rows(), value.cols()); }
+  /// Zeroes the grad in place; reallocates only when the value's shape
+  /// changed since the grad was last sized.
+  void ZeroGrad() {
+    if (grad.rows() == value.rows() && grad.cols() == value.cols()) {
+      std::fill(grad.data(),
+                grad.data() + static_cast<size_t>(grad.rows()) *
+                                  static_cast<size_t>(grad.cols()),
+                0.0);
+    } else {
+      grad = Matrix(value.rows(), value.cols());
+    }
+  }
 };
 
 /// Private per-thread gradient sink.

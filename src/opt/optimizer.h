@@ -7,15 +7,31 @@
 //
 // Steps are fallible: a non-finite gradient norm (an instance that blew
 // up upstream) aborts the update with a NumericalError before any
-// parameter is touched, instead of silently scaling every gradient by
-// NaN. With a thread pool attached, the per-parameter update loops run
-// in parallel — updates for distinct params touch disjoint memory and
-// the global-norm reduction stays in fixed parameter order, so stepping
-// is bit-identical at any thread count.
+// parameter, moment or gradient is touched, instead of silently scaling
+// every gradient by NaN.
+//
+// A step is one norm pass plus one fused update pass. The norm is the
+// exact global L2 norm: per-param sums of squares (on the pool when one
+// is attached) reduced in fixed param order, so the clip factor never
+// depends on the thread count. It stays a sequential sum within each
+// param because splitting it would reassociate the additions, which can
+// move the clip factor in its last bit and so every trained value. The
+// update pass then walks fixed-size element chunks of every param over
+// all pool lanes, so one large embedding table is split across every
+// lane. Each element applies the clip scale, weight decay, the moment
+// updates and the step, and zeroes its gradient, all in one visit and
+// in the same operation order as a plain per-element loop. Elements are
+// independent, so any chunking and any thread count give bit-identical
+// results. optimizer.cc alone compiles with -fno-math-errno so the
+// update loop vectorizes `std::sqrt`; the flag only drops errno writes,
+// never changes a value, and is scoped to the file so no other code's
+// math error reporting changes.
 
 #ifndef LKPDPP_OPT_OPTIMIZER_H_
 #define LKPDPP_OPT_OPTIMIZER_H_
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,7 +60,7 @@ class Optimizer {
   /// modified and the grads are left in place for inspection.
   virtual Status Step(const std::vector<ad::Param*>& params) = 0;
 
-  /// Fans the per-param update loops out over `pool` (results are
+  /// Spreads the norm and update passes over `pool` (results are
   /// bit-identical to the serial path). Pass nullptr to go serial.
   void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
@@ -57,8 +73,15 @@ class Optimizer {
                                        ThreadPool* pool = nullptr);
 
  protected:
-  /// Runs fn(i) for each param index, on the pool when attached.
-  void ForEachParam(int n, const std::function<void(int)>& fn) const;
+  /// The shared step skeleton: computes the global gradient norm
+  /// (failing before anything is touched if it is not finite), derives
+  /// the clip scale (1 when clipping is off or inactive), then calls
+  /// update(param, begin, end, scale) for fixed-size element chunks
+  /// [begin, end) of every param, on the pool when attached. `update`
+  /// must apply the scale itself and leave the chunk's grads zero.
+  Status StepChunks(const std::vector<ad::Param*>& params, double clip_norm,
+                    const std::function<void(int, size_t, size_t, double)>&
+                        update) const;
 
  private:
   ThreadPool* pool_ = nullptr;
