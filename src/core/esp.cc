@@ -1,5 +1,6 @@
 #include "core/esp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -17,6 +18,24 @@ inline double LogAddExp(double a, double b) {
   const double hi = std::max(a, b);
   const double lo = std::min(a, b);
   return hi + std::log1p(std::exp(lo - hi));
+}
+
+// ExclusionRatios' fallback: the log-domain exclusion polynomials, with
+// log e_k taken from the same values by Euler's identity
+//   k e_k = sum_j values[j] e_{k-1}(values \ j).
+Vector LogDomainExclusionRatios(const Vector& values, int k) {
+  const int m = values.size();
+  const Vector log_excl = LogExclusionEsp(values, k - 1);
+  double log_kek = -std::numeric_limits<double>::infinity();
+  for (int j = 0; j < m; ++j) {
+    if (values[j] > 0.0) {
+      log_kek = LogAddExp(log_kek, std::log(values[j]) + log_excl[j]);
+    }
+  }
+  const double log_ek = log_kek - std::log(static_cast<double>(k));
+  Vector out(m);
+  for (int c = 0; c < m; ++c) out[c] = std::exp(log_excl[c] - log_ek);
+  return out;
 }
 
 }  // namespace
@@ -119,6 +138,80 @@ Vector LogExclusionEsp(const Vector& values, int degree) {
     }
     out[skip] = e[degree];
   }
+  return out;
+}
+
+Vector ExclusionRatios(const Vector& values, int k) {
+  const int m = values.size();
+  LKP_CHECK(k >= 1 && k <= m) << "k=" << k << " over " << m << " values";
+  double lam_max = 0.0;
+  int positives = 0;
+  for (int i = 0; i < m; ++i) {
+    LKP_CHECK_GE(values[i], 0.0) << "ExclusionRatios requires values >= 0";
+    lam_max = std::max(lam_max, values[i]);
+    if (values[i] > 0.0) ++positives;
+  }
+  LKP_CHECK_GE(positives, k) << "e_" << k << " vanishes: only " << positives
+                             << " positive values";
+
+  std::vector<double> x(static_cast<size_t>(m));
+  double x_min = 1.0;
+  for (int i = 0; i < m; ++i) {
+    x[static_cast<size_t>(i)] = values[i] / lam_max;
+    if (x[static_cast<size_t>(i)] > 0.0) {
+      x_min = std::min(x_min, x[static_cast<size_t>(i)]);
+    }
+  }
+  // Underflow threshold. Every term of every ESP below is a product of at
+  // most k positive x, each >= x_min, so the linear tables are exact to
+  // rounding while x_min^k stays a normal double. KDpp spectra come out
+  // of ClampSpectrumToPsd, which zeroes every eigenvalue below
+  // m * eps * lambda_max: their positive x are >= m * eps >= 2 * eps,
+  // and (2 eps)^k >= DBL_MIN for every k <= 20. Only larger k, or raw
+  // values with a wider dynamic range, take the log-domain fallback.
+  double x_min_pow_k = 1.0;
+  for (int l = 0; l < k; ++l) x_min_pow_k *= x_min;
+  if (x_min_pow_k < std::numeric_limits<double>::min()) {
+    return LogDomainExclusionRatios(values, k);
+  }
+
+  // pre[i * (k + 1) + l] = e_l(x_0 .. x_{i-1}) for l in [0, k];
+  // suf[i * k + l] = e_l(x_i .. x_{m-1}) for l in [0, k - 1].
+  const size_t pw = static_cast<size_t>(k) + 1;
+  const size_t sw = static_cast<size_t>(k);
+  const size_t rows = static_cast<size_t>(m) + 1;
+  std::vector<double> pre(rows * pw, 0.0);
+  std::vector<double> suf(rows * sw, 0.0);
+  pre[0] = 1.0;
+  for (size_t i = 0; i < static_cast<size_t>(m); ++i) {
+    const double* prev = &pre[i * pw];
+    double* next = &pre[(i + 1) * pw];
+    next[0] = 1.0;
+    for (size_t l = 1; l < pw; ++l) next[l] = prev[l] + x[i] * prev[l - 1];
+  }
+  suf[static_cast<size_t>(m) * sw] = 1.0;
+  for (size_t i = static_cast<size_t>(m); i-- > 0;) {
+    const double* prev = &suf[(i + 1) * sw];
+    double* next = &suf[i * sw];
+    next[0] = 1.0;
+    for (size_t l = 1; l < sw; ++l) next[l] = prev[l] + x[i] * prev[l - 1];
+  }
+  // e_{k-1}(x \ c) = sum_a e_a(x before c) e_{k-1-a}(x after c); the
+  // ratio to e_k(x) is scale-free up to one factor of lambda_max.
+  const double ek = pre[static_cast<size_t>(m) * pw + sw];
+  Vector out(m);
+  bool finite = ek > 0.0 && std::isfinite(ek);
+  for (int c = 0; c < m && finite; ++c) {
+    const double* p = &pre[static_cast<size_t>(c) * pw];
+    const double* s = &suf[(static_cast<size_t>(c) + 1) * sw];
+    double num = 0.0;
+    for (size_t a = 0; a < sw; ++a) num += p[a] * s[sw - 1 - a];
+    const double ratio = num / ek;
+    finite = std::isfinite(ratio);
+    out[c] = ratio / lam_max;
+  }
+  // Past ~1000 values C(m, l) itself overflows; the log domain cannot.
+  if (!finite) return LogDomainExclusionRatios(values, k);
   return out;
 }
 

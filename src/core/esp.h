@@ -4,7 +4,10 @@
 // (Eq. 6 of the paper), computed by the O(m*k) recursion of the paper's
 // Algorithm 1. The gradient of Z_k w.r.t. the kernel additionally needs
 // the "exclusion" polynomials e_{k-1}(lambda with lambda_i removed),
-// since d e_k / d lambda_i = e_{k-1}(lambda \ i).
+// since d e_k / d lambda_i = e_{k-1}(lambda \ i). Training and the k-DPP
+// marginals read them through ExclusionRatios (e_{k-1}(lambda \ i) / e_k,
+// O(m*k) over lambda / lambda_max); the O(m^2 k) per-index recursions
+// below stay as its log-domain fallback and as test oracles.
 
 #ifndef LKPDPP_CORE_ESP_H_
 #define LKPDPP_CORE_ESP_H_
@@ -49,6 +52,23 @@ Vector ExclusionEsp(const Vector& values, int degree);
 /// Requires 0 <= degree <= values.size() - 1 and values >= 0 (kernel
 /// eigenvalues are clamped non-negative upstream).
 Vector LogExclusionEsp(const Vector& values, int degree);
+
+/// Normalized exclusion ratios for non-negative `values`:
+///   out[c] = e_{k-1}(values with entry c removed) / e_k(values),
+/// i.e. d log e_k / d values[c]. These are the k-DPP normalizer-gradient
+/// weights (Eq. 12), and values[c] * out[c] is the marginal weight of
+/// spectrum column c.
+///
+/// O(m k): prefix and suffix ESP tables over x = values / max(values)
+/// give every exclusion polynomial as one k-term convolution. x lies in
+/// [0, 1], so no table entry exceeds C(m, l); every term is a product of
+/// non-negative factors, so sums lose no relative accuracy; and the only
+/// division is the final ratio. Where a product of k positive x could
+/// underflow (see the threshold in esp.cc) or the tables overflow, it
+/// falls back to LogExclusionEsp.
+/// Requires 1 <= k <= values.size(), values >= 0, and at least k
+/// positive values (e_k(values) > 0).
+Vector ExclusionRatios(const Vector& values, int k);
 
 /// Brute-force ESP by subset enumeration; exponential, test-only reference.
 double ElementarySymmetricBruteForce(const Vector& values, int k);

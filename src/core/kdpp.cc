@@ -310,21 +310,18 @@ Matrix WeightedEigenvectorOuter(const Matrix& vecs, const Vector& w) {
 
 }  // namespace
 
-// Per-column marginal weight lambda[c] * e_{k-1}(lambda \ c) / Z_k,
-// assembled in log domain: the raw exclusion polynomial overflows to inf
-// (and the zero-eigenvalue columns then produce 0 * inf = NaN) long
-// before the ratio itself leaves double range. Works on either spectrum
-// — the padding zeros the dual omits would all get weight zero, and
-// excluding a value from a zero-padded list leaves every ESP unchanged.
+// Per-column marginal weight lambda[c] * e_{k-1}(lambda \ c) / Z_k from
+// the O(m k) exclusion ratios. They work over lambda / lambda_max, so the
+// raw exclusion polynomials cannot overflow to inf (and the
+// zero-eigenvalue columns then produce 0 * inf = NaN) while the ratio
+// itself is representable. Works on either spectrum — the padding zeros
+// the dual omits would all get weight zero, and excluding a value from a
+// zero-padded list leaves every ESP unchanged.
 Vector KDpp::MarginalWeights() const {
   const Vector& lambda = eig_.eigenvalues;
-  const Vector log_excl = LogExclusionEsp(lambda, k_ - 1);
+  const Vector ratio = ExclusionRatios(lambda, k_);
   Vector w(lambda.size());
-  for (int c = 0; c < lambda.size(); ++c) {
-    w[c] = lambda[c] > 0.0
-               ? std::exp(std::log(lambda[c]) + log_excl[c] - log_zk_)
-               : 0.0;
-  }
+  for (int c = 0; c < lambda.size(); ++c) w[c] = lambda[c] * ratio[c];
   return w;
 }
 
@@ -374,14 +371,11 @@ Matrix KDpp::LogNormalizerGradient() const {
       << "LogNormalizerGradient is primal-only: d log Z_k / d L needs "
          "the full eigenvector set, which the factored representations "
          "never hold";
-  const int m = ground_size();
-  // exp(log e_{k-1}(lambda \ c) - log Z_k) directly, instead of scaling
-  // NormalizerGradient by exp(-log Z_k): the unnormalized gradient can
+  // e_{k-1}(lambda \ c) / Z_k directly, instead of scaling
+  // NormalizerGradient by 1 / Z_k: the unnormalized gradient can
   // overflow even when the normalized one is well inside double range.
-  const Vector log_excl = LogExclusionEsp(eig_.eigenvalues, k_ - 1);
-  Vector w(m);
-  for (int c = 0; c < m; ++c) w[c] = std::exp(log_excl[c] - log_zk_);
-  return WeightedEigenvectorOuter(eig_.eigenvectors, w);
+  return WeightedEigenvectorOuter(eig_.eigenvectors,
+                                  ExclusionRatios(eig_.eigenvalues, k_));
 }
 
 double BinomialCoefficient(int m, int k) {

@@ -124,16 +124,19 @@ class KDpp {
 
   /// Marginal kernel M with M_ii = P(i in S); in general
   ///   M = sum_n [lambda_n * e_{k-1}(lambda \ n) / e_k] u_n u_n^T,
-  /// whose trace is exactly k. The per-column weights are assembled in
-  /// log domain, so wide eigenvalue dynamic ranges cannot overflow the
-  /// exclusion polynomials into inf/NaN entries. Dual mode assembles the
-  /// sum from lifted eigenvectors at O(m^2 r); zero eigenvalues carry
-  /// zero weight in either representation, so the (m - d) implicit zeros
-  /// contribute nothing.
+  /// whose trace is exactly k. The per-column weights are lambda_n times
+  /// the O(m k) exclusion ratios (ExclusionRatios in esp.h), computed
+  /// over lambda / lambda_max, so wide eigenvalue dynamic ranges cannot
+  /// overflow the exclusion polynomials into inf/NaN entries. Dual mode
+  /// assembles the sum from lifted eigenvectors at O(m^2 r); zero
+  /// eigenvalues carry zero weight in either representation, so the
+  /// (m - d) implicit zeros contribute nothing.
   Matrix MarginalKernel() const;
 
   /// diag(M) without materializing M: P(i in S) for every item. O(m^2)
-  /// primal, O(m d r) dual.
+  /// primal, O(m d r) dual. Since M = (d log Z_k / d L) L, this diagonal
+  /// is also the normalizer's whole contribution to the LkP score
+  /// gradient (lkp.h).
   Vector MarginalDiagonal() const;
 
   /// Gradient of the normalizer: d Z_k / d L
@@ -145,9 +148,10 @@ class KDpp {
   /// represent — training paths construct primal KDpps.
   Matrix NormalizerGradient() const;
 
-  /// Gradient of log Z_k w.r.t. L (NormalizerGradient / Z_k), computed in
-  /// log domain so it stays finite whenever Z_k does. Primal mode only
-  /// (LKP_CHECK), see NormalizerGradient.
+  /// Gradient of log Z_k w.r.t. L (NormalizerGradient / Z_k), weighted
+  /// by the scaled exclusion ratios so it stays finite whenever Z_k and
+  /// the ratios are representable. Primal mode only (LKP_CHECK), see
+  /// NormalizerGradient.
   Matrix LogNormalizerGradient() const;
 
  private:

@@ -15,8 +15,17 @@
 //   d log Z_k / dL    = sum_i e_{k-1}(lambda \ i) u_i u_i^T / Z_k,
 //
 // then chained into raw scores via dL_ij/ds_m = L_ij (t_m 1[i=m] +
-// t_m 1[j=m]) with t = d log q / ds, and optionally into the diversity
-// kernel via dL_ij/dK_ij = q_i q_j (the E-type path).
+// t_m 1[j=m]) with t = d log q / ds. That chain only reads the diagonal
+// of (dloss/dL) L, and (d log Z_k / dL) L = M is the k-DPP marginal
+// kernel, so with c = P(S-) / (1 - P(S-)) (0 for PS):
+//
+//   dloss/ds = 2 t o ((1 - c) diag(M) - rows(S+) + c rows(S-)),
+//   rows(S)_i = sum_{j in S} (L_S^{-1})_ij L_ij   (i in S, else 0),
+//
+// where diag(M) holds the inclusion probabilities P(i in S) and the
+// block row sums are 1 up to the Cholesky jitter. Only the optional
+// chain into the diversity kernel, dL_ij/dK_ij = q_i q_j (the E-type
+// path), builds the m x m dloss/dL.
 
 #ifndef LKPDPP_CORE_LKP_H_
 #define LKPDPP_CORE_LKP_H_

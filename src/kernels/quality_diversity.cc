@@ -7,6 +7,14 @@
 
 namespace lkpdpp {
 
+namespace {
+
+// Floor on sigmoid qualities, so Diag(q) never annihilates the kernel.
+// Below it (s < ~-27.6) q, and so the objective, is flat in s.
+constexpr double kSigmoidFloor = 1e-12;
+
+}  // namespace
+
 const char* QualityTransformName(QualityTransform t) {
   switch (t) {
     case QualityTransform::kExp:
@@ -27,9 +35,7 @@ Vector ApplyQuality(const Vector& scores, QualityTransform transform) {
       break;
     case QualityTransform::kSigmoid:
       for (int i = 0; i < scores.size(); ++i) {
-        q[i] = 1.0 / (1.0 + std::exp(-scores[i]));
-        // Keep strictly positive so Diag(q) never annihilates the kernel.
-        q[i] = std::max(q[i], 1e-12);
+        q[i] = std::max(1.0 / (1.0 + std::exp(-scores[i])), kSigmoidFloor);
       }
       break;
   }
@@ -49,7 +55,8 @@ Vector QualityLogDerivative(const Vector& scores,
     case QualityTransform::kSigmoid:
       for (int i = 0; i < scores.size(); ++i) {
         const double q = 1.0 / (1.0 + std::exp(-scores[i]));
-        t[i] = 1.0 - q;  // d log sigmoid(s) / ds.
+        // d log sigmoid(s) / ds, except where the floor froze the value.
+        t[i] = q < kSigmoidFloor ? 0.0 : 1.0 - q;
       }
       break;
   }

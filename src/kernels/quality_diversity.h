@@ -23,11 +23,13 @@ enum class QualityTransform {
 const char* QualityTransformName(QualityTransform t);
 
 /// Applies the transform elementwise. Exp inputs are clamped to [-30, 30]
-/// to keep kernels finite under early-training score blowups.
+/// to keep kernels finite under early-training score blowups; sigmoid
+/// outputs are floored at 1e-12 to keep them strictly positive.
 Vector ApplyQuality(const Vector& scores, QualityTransform transform);
 
 /// d log q_i / d s_i — the factor that chains kernel gradients back to raw
-/// scores (dL_ij/ds_m = L_ij * (t_m 1[i=m] + t_m 1[j=m])).
+/// scores (dL_ij/ds_m = L_ij * (t_m 1[i=m] + t_m 1[j=m])). Zero wherever
+/// ApplyQuality's clamp or floor holds q constant.
 Vector QualityLogDerivative(const Vector& scores, QualityTransform transform);
 
 /// L = Diag(q) K Diag(q). Shapes must agree.

@@ -7,7 +7,10 @@
 //
 // `SymmetricEigen` is a LAPACK-style two-stage solver: Householder
 // reduction to tridiagonal form (accumulating the orthogonal transform)
-// followed by implicit-shift QL iteration on the tridiagonal. It costs
+// followed by implicit-shift QL iteration on the tridiagonal. Its plane
+// rotations take their norms as sqrt(a^2 + b^2), with std::hypot only
+// where the squared sum leaves the normal range (inputs scaled past
+// ~1e+-154), so the results scale exactly with the input. It costs
 // ~3n^3 flops total, versus ~6n^3 *per sweep* (times ~8-12 sweeps) for
 // the cyclic Jacobi method it replaced. Jacobi is retained as
 // `SymmetricEigenJacobi` for cross-checking; both emit eigenvalues in

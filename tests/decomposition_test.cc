@@ -405,6 +405,41 @@ TEST(EigenTest, ExtremeUniformScalesStayAccurate) {
   }
 }
 
+TEST(EigenTest, ScaleEquivariantWhereRotationNormsLeaveNormalRange) {
+  // At s = 1e160 the QL rotation norms' squared sums overflow, and at
+  // s = 1e-160 they underflow, so every rotation takes the std::hypot
+  // fallback; the decomposition must still scale exactly with s. The
+  // spectrum 1..n (gaps of 1) keeps the eigenvectors well-conditioned.
+  for (int n : {10, 30}) {
+    Rng rng(90 + n);
+    auto basis = SymmetricEigen(RandomSymmetric(n, &rng));
+    ASSERT_TRUE(basis.ok());
+    const Matrix& u = basis->eigenvectors;
+    Matrix scaled_u = u;
+    for (int c = 0; c < n; ++c) {
+      for (int r = 0; r < n; ++r) scaled_u(r, c) *= c + 1.0;
+    }
+    Matrix a = MatMulTransB(scaled_u, u);
+    a.Symmetrize();
+    auto ref = SymmetricEigen(a);
+    ASSERT_TRUE(ref.ok());
+    const double top = ref->eigenvalues[n - 1];
+    for (double s : {1e160, 1e-160}) {
+      Matrix scaled_in = a;
+      scaled_in *= s;
+      auto eig = SymmetricEigen(scaled_in);
+      ASSERT_TRUE(eig.ok()) << "n=" << n << " scale " << s;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_LE(std::fabs(eig->eigenvalues[i] - s * ref->eigenvalues[i]),
+                  1e-13 * s * top)
+            << "n=" << n << " scale " << s << " eigenvalue " << i;
+      }
+      EXPECT_LE((eig->eigenvectors - ref->eigenvectors).MaxAbs(), 1e-13)
+          << "n=" << n << " scale " << s;
+    }
+  }
+}
+
 TEST(ProjectToPsdTest, ClampsNegativeEigenvalues) {
   Matrix a{{1, 0}, {0, -2}};
   auto psd = ProjectToPsd(a, 0.0);

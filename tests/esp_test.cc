@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "core/esp.h"
@@ -202,6 +204,114 @@ TEST(LogExclusionEspTest, SurvivesMagnitudesThatOverflowLinearDomain) {
     ASSERT_TRUE(std::isfinite(log_scaled[i])) << "skip " << i;
     EXPECT_NEAR(log_scaled[i], degree * std::log(s) + std::log(base[i]),
                 1e-9) << "skip " << i;
+  }
+}
+
+// ExclusionRatios' oracle: e_{k-1}(values \ c) / e_k(values) from the
+// log-domain exclusion polynomials. log e_k comes from the same routine
+// over values plus one appended zero, excluding that zero. The values
+// are first scaled by a power of two near 1 / max (exact, and
+// e_l(2^-p v) = 2^-pl e_l(v)), so the logs stay small and their rounding
+// cannot swamp a 1e-12 comparison at extreme overall scales.
+Vector LogDomainRatioOracle(const Vector& values, int k) {
+  const int m = values.size();
+  const int p = std::ilogb(values.Max());
+  Vector padded(m + 1);
+  Vector scaled(m);
+  for (int i = 0; i < m; ++i) {
+    scaled[i] = std::ldexp(values[i], -p);
+    padded[i] = scaled[i];
+  }
+  const double log_ek = LogExclusionEsp(padded, k)[m];
+  const Vector log_excl = LogExclusionEsp(scaled, k - 1);
+  Vector out(m);
+  for (int c = 0; c < m; ++c) {
+    out[c] = std::ldexp(std::exp(log_excl[c] - log_ek), -p);
+  }
+  return out;
+}
+
+void ExpectRatiosMatchOracle(const Vector& values, int k,
+                             const std::string& label) {
+  const Vector got = ExclusionRatios(values, k);
+  const Vector want = LogDomainRatioOracle(values, k);
+  ASSERT_EQ(got.size(), want.size());
+  for (int c = 0; c < values.size(); ++c) {
+    ASSERT_GT(want[c], 0.0) << label << " c=" << c;
+    EXPECT_NEAR(got[c], want[c], 1e-12 * want[c])
+        << label << " k=" << k << " c=" << c;
+  }
+}
+
+TEST(ExclusionRatiosTest, MatchesLogDomainOnRandomSpectraWithZeros) {
+  Rng rng(314);
+  for (int m : {4, 10, 30}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Magnitudes over six decades, overall scale over +/-100 decades.
+      const double scale = std::pow(10.0, rng.Uniform(-100.0, 100.0));
+      Vector vals(m);
+      for (int i = 0; i < m; ++i) {
+        vals[i] = scale * std::pow(10.0, rng.Uniform(-3.0, 3.0));
+      }
+      for (int k : {1, m / 2, m}) {
+        Vector with_zeros = vals;
+        // Exact zeros wherever the k positives e_k needs survive.
+        for (int i = 0; i < m - k; ++i) {
+          if (rng.Uniform() < 0.5) with_zeros[i] = 0.0;
+        }
+        ExpectRatiosMatchOracle(with_zeros, k,
+                                "m=" + std::to_string(m) + " trial=" +
+                                    std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(ExclusionRatiosTest, MatchesLogDomainAtTheClampedDynamicRange) {
+  // Positive values as small as ClampSpectrumToPsd lets through:
+  // m * eps * lambda_max, the worst case the underflow threshold covers.
+  Rng rng(315);
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (int m : {5, 10, 20}) {
+    for (double lam_max : {1e-150, 1.0, 1e150}) {
+      Vector vals(m);
+      vals[m - 1] = lam_max;
+      for (int i = 0; i < m - 1; ++i) {
+        const double floor = m * eps * lam_max;
+        vals[i] = i % 2 == 0 ? floor : floor * std::pow(10.0, rng.Uniform(
+                                                             0.0, 14.0));
+      }
+      for (int k : {1, m / 2, m}) {
+        ExpectRatiosMatchOracle(vals, k, "m=" + std::to_string(m));
+      }
+    }
+  }
+}
+
+TEST(ExclusionRatiosTest, FallsBackToLogDomainWhenProductsUnderflow) {
+  // x_min^k = (1e-200)^2 is below DBL_MIN, so the scaled linear tables
+  // would lose the small terms; the log-domain fallback must not.
+  const Vector vals{1.0, 1e-200, 3e-200, 2e-200, 0.0};
+  for (int k : {2, 3, 4}) ExpectRatiosMatchOracle(vals, k, "underflow");
+  // e_4 here is 6e-600: far below double range, yet every ratio is
+  // representable, e.g. out[0] = 1 / (lambda_0) exactly.
+  EXPECT_NEAR(ExclusionRatios(vals, 4)[0], 1.0, 1e-12);
+}
+
+TEST(ExclusionRatiosTest, IsTheLogDerivativeOfEk) {
+  // out[c] = d log e_k / d values[c], checked by central differences.
+  const Vector vals{0.7, 1.9, 0.2, 3.1, 1.3};
+  const int k = 3;
+  const Vector ratio = ExclusionRatios(vals, k);
+  const double h = 1e-6;
+  for (int c = 0; c < vals.size(); ++c) {
+    Vector plus = vals, minus = vals;
+    plus[c] += h;
+    minus[c] -= h;
+    const double fd = (std::log(ElementarySymmetric(plus, k)) -
+                       std::log(ElementarySymmetric(minus, k))) /
+                      (2.0 * h);
+    EXPECT_NEAR(ratio[c], fd, 1e-8) << "c=" << c;
   }
 }
 

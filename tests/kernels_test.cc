@@ -204,6 +204,27 @@ TEST(QualityTransformTest, LogDerivativeMatchesFiniteDifference) {
   }
 }
 
+TEST(QualityTransformTest, SigmoidLogDerivativeVanishesOnTheFloor) {
+  // Below s ~ -27.6 the sigmoid quality sits on its 1e-12 floor, so
+  // log q is flat there: t must be 0, as finite differences read.
+  const QualityTransform t = QualityTransform::kSigmoid;
+  Vector s{-40.0, -30.0, -27.0};
+  Vector deriv = QualityLogDerivative(s, t);
+  const double h = 1e-6;
+  for (int i = 0; i < s.size(); ++i) {
+    Vector plus = s, minus = s;
+    plus[i] += h;
+    minus[i] -= h;
+    const double fd = (std::log(ApplyQuality(plus, t)[i]) -
+                       std::log(ApplyQuality(minus, t)[i])) /
+                      (2.0 * h);
+    EXPECT_NEAR(deriv[i], fd, 1e-5) << "s=" << s[i];
+  }
+  EXPECT_EQ(deriv[0], 0.0);
+  EXPECT_EQ(deriv[1], 0.0);
+  EXPECT_GT(deriv[2], 0.99);
+}
+
 TEST(AssembleKernelTest, MatchesDiagSandwich) {
   Vector q{2.0, 3.0};
   Matrix k{{1.0, 0.5}, {0.5, 1.0}};
