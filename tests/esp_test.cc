@@ -289,8 +289,11 @@ TEST(ExclusionRatiosTest, MatchesLogDomainAtTheClampedDynamicRange) {
 }
 
 TEST(ExclusionRatiosTest, FallsBackToLogDomainWhenProductsUnderflow) {
-  // x_min^k = (1e-200)^2 is below DBL_MIN, so the scaled linear tables
-  // would lose the small terms; the log-domain fallback must not.
+  // x_min^k below DBL_MIN: the scaled linear tables would lose the small
+  // terms. e_3 of {1, 1e-160, 3e-160} is 3e-320, a subnormal with only a
+  // few significant digits, so a linear-domain out[1] = 1e160 would be
+  // off by ~1e-4; the log-domain fallback must not be.
+  ExpectRatiosMatchOracle(Vector{1.0, 1e-160, 3e-160, 0.0}, 3, "subnormal");
   const Vector vals{1.0, 1e-200, 3e-200, 2e-200, 0.0};
   for (int k : {2, 3, 4}) ExpectRatiosMatchOracle(vals, k, "underflow");
   // e_4 here is 6e-600: far below double range, yet every ratio is
