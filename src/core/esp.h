@@ -62,10 +62,11 @@ Vector LogExclusionEsp(const Vector& values, int degree);
 /// O(m k): prefix and suffix ESP tables over x = values / max(values)
 /// give every exclusion polynomial as one k-term convolution. x lies in
 /// [0, 1], so no table entry exceeds C(m, l); every term is a product of
-/// non-negative factors, so sums lose no relative accuracy; and the only
-/// division is the final ratio. Where a product of k positive x could
-/// underflow (see the threshold in esp.cc) or the tables overflow, it
-/// falls back to LogExclusionEsp.
+/// non-negative factors, so sums lose no relative accuracy; and nothing
+/// is divided out of a polynomial (the classic divide-by-the-root
+/// shortcut is unstable near zero values). Where a product of k positive
+/// x could underflow (see the threshold in esp.cc) or the tables
+/// overflow, it falls back to LogExclusionEsp.
 /// Requires 1 <= k <= values.size(), values >= 0, and at least k
 /// positive values (e_k(values) > 0).
 Vector ExclusionRatios(const Vector& values, int k);
