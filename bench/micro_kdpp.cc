@@ -1,7 +1,8 @@
 // Google-benchmark micro suite: the design-choice ablations DESIGN.md
 // calls out — ESP recursion vs brute-force enumeration, the two-stage
 // tridiagonalization eigensolver vs the Jacobi reference, kernel
-// assembly, criterion evaluation, and exact k-DPP sampling. These justify
+// assembly, criterion evaluation, and exact k-DPP sampling (whole draws
+// and the elementary-DPP phase alone). These justify
 // the O((k+n)k) normalization claim of the paper (Section III-B4).
 // bench/eigen_bench extends the eigensolver comparison to serving-pool
 // sizes without requiring Google Benchmark.
@@ -11,6 +12,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/dpp.h"
 #include "core/esp.h"
 #include "core/kdpp.h"
 #include "core/lkp.h"
@@ -110,6 +112,25 @@ void BM_KdppSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KdppSample)->Arg(6)->Arg(10)->Arg(16);
+
+// Phase 2 alone: one elementary-DPP draw over the top k eigenvectors of
+// an m-item kernel, at the serving pool (30) and either side of it.
+void BM_ElementaryDppSample(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  auto eig = SymmetricEigen(RandomKernel(m, 13));
+  eig.status().CheckOK();
+  Matrix basis(m, k);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < k; ++c) basis(r, c) = eig->eigenvectors(r, m - 1 - c);
+  }
+  Rng rng(14);
+  for (auto _ : state) {
+    auto s = SampleElementaryDpp(basis, &rng);
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_ElementaryDppSample)->Args({10, 5})->Args({30, 10})->Args({64, 10});
 
 void BM_LkpEvaluate(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -12,21 +12,35 @@ namespace lkpdpp {
 Result<std::vector<int>> SampleElementaryDpp(Matrix basis, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
   const int m = basis.rows();
-  int dim = basis.cols();
+  const int dim = basis.cols();
+  // Chain rule for the projection kernel K = V V^T (Tremblay, Barthelme &
+  // Amblard 2018): the weight of item i after picks j_0..j_{t-1} is the
+  // Schur complement d_i = K_ii - K_iJ K_JJ^{-1} K_Ji, kept up to date by
+  // one new Cholesky column per pick, O(m k) each. Basis vectors and
+  // Cholesky columns are stored as contiguous rows over items, so every
+  // update is a unit-stride sweep.
+  const size_t stride = static_cast<size_t>(m);
+  std::vector<double> vt(static_cast<size_t>(dim) * stride);
+  for (int i = 0; i < m; ++i) {
+    for (int c = 0; c < dim; ++c) vt[c * stride + i] = basis(i, c);
+  }
+  std::vector<double> chol(static_cast<size_t>(dim) * stride);
+  std::vector<double> d(stride, 0.0);
+  for (int c = 0; c < dim; ++c) {
+    const double* v = vt.data() + c * stride;
+    for (int i = 0; i < m; ++i) d[i] += v[i] * v[i];
+  }
   std::vector<int> items;
   items.reserve(static_cast<size_t>(dim));
 
-  while (dim > 0) {
-    std::vector<double> weights(static_cast<size_t>(m), 0.0);
-    for (int i = 0; i < m; ++i) {
-      double s = 0.0;
-      for (int c = 0; c < dim; ++c) s += basis(i, c) * basis(i, c);
-      weights[static_cast<size_t>(i)] = s;
-    }
-    for (int chosen : items) weights[static_cast<size_t>(chosen)] = 0.0;
+  for (int t = 0; t < dim; ++t) {
+    // d doubles as the selection weights. A chosen item's d is reset to 0
+    // after its own update and afterwards only loses round-off squares, so
+    // it stays <= 0 (as round-off can leave other entries); Categorical
+    // reads those as zero. d is not clamped, so a NaN reaches `total`.
     double total = 0.0;
-    for (double w : weights) total += w;
-    if (!(total > 0.0)) {
+    for (double w : d) total += w;
+    if (!(total > 0.0) || std::isinf(total)) {
       // All residual mass underflowed (or went non-finite). Categorical's
       // uniform fallback would ignore the already-chosen items and could
       // emit a duplicate index; fail loudly instead.
@@ -34,48 +48,42 @@ Result<std::vector<int>> SampleElementaryDpp(Matrix basis, Rng* rng) {
           "elementary DPP sampler: residual weights vanished over "
           "unchosen items");
     }
-    const int item = rng->Categorical(weights);
-    items.push_back(item);
-    if (dim == 1) break;
-
-    // Eliminate the e_item component using the largest pivot column,
-    // drop it, then re-orthonormalize.
-    int pivot = 0;
-    double best = std::fabs(basis(item, 0));
-    for (int c = 1; c < dim; ++c) {
-      if (std::fabs(basis(item, c)) > best) {
-        best = std::fabs(basis(item, c));
-        pivot = c;
-      }
+    // For an orthonormal basis the residual trace is exactly dim - t. A
+    // rank-deficient basis runs out of rank first: its residual falls to
+    // round-off while dim - t >= 1, and the chain rule would go on
+    // drawing from that round-off.
+    if (total < 0.5 * (dim - t)) {
+      return Status::NumericalError(
+          "elementary DPP sampler: basis collapsed");
     }
-    if (best <= 0.0) {
+    const int item = rng->Categorical(d);
+    items.push_back(item);
+    if (t == dim - 1) break;
+
+    const double dj = d[item];
+    if (!(dj > 0.0)) {
       return Status::NumericalError(
           "elementary DPP sampler: chosen item has no support");
     }
+    // c_t = (V V_item^T - sum_{l<t} c_l c_l[item]) / sqrt(d_item).
+    double* ct = chol.data() + t * stride;
+    std::fill(ct, ct + m, 0.0);
     for (int c = 0; c < dim; ++c) {
-      if (c == pivot) continue;
-      const double f = basis(item, c) / basis(item, pivot);
-      for (int r = 0; r < m; ++r) basis(r, c) -= f * basis(r, pivot);
+      const double* v = vt.data() + c * stride;
+      const double a = v[item];
+      for (int i = 0; i < m; ++i) ct[i] += a * v[i];
     }
-    if (pivot != dim - 1) {
-      for (int r = 0; r < m; ++r) basis(r, pivot) = basis(r, dim - 1);
+    for (int l = 0; l < t; ++l) {
+      const double* cl = chol.data() + l * stride;
+      const double b = cl[item];
+      for (int i = 0; i < m; ++i) ct[i] -= b * cl[i];
     }
-    --dim;
-    for (int c = 0; c < dim; ++c) {
-      for (int prev = 0; prev < c; ++prev) {
-        double dot = 0.0;
-        for (int r = 0; r < m; ++r) dot += basis(r, c) * basis(r, prev);
-        for (int r = 0; r < m; ++r) basis(r, c) -= dot * basis(r, prev);
-      }
-      double norm = 0.0;
-      for (int r = 0; r < m; ++r) norm += basis(r, c) * basis(r, c);
-      norm = std::sqrt(norm);
-      if (norm <= 1e-12) {
-        return Status::NumericalError(
-            "elementary DPP sampler: basis collapsed");
-      }
-      for (int r = 0; r < m; ++r) basis(r, c) /= norm;
+    const double inv = 1.0 / std::sqrt(dj);
+    for (int i = 0; i < m; ++i) {
+      ct[i] *= inv;
+      d[i] -= ct[i] * ct[i];
     }
+    d[item] = 0.0;
   }
   std::sort(items.begin(), items.end());
   return items;
@@ -178,10 +186,12 @@ Result<std::vector<int>> Dpp::Sample(Rng* rng) const {
     if (rng->Uniform() < lam / (1.0 + lam)) selected.push_back(i);
   }
   if (selected.empty()) return std::vector<int>{};
-  Matrix basis(m, static_cast<int>(selected.size()));
-  for (size_t c = 0; c < selected.size(); ++c) {
-    basis.SetCol(static_cast<int>(c),
-                 eig_.eigenvectors.Col(selected[c]));
+  const int dim = static_cast<int>(selected.size());
+  Matrix basis(m, dim);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < dim; ++c) {
+      basis(r, c) = eig_.eigenvectors(r, selected[static_cast<size_t>(c)]);
+    }
   }
   return SampleElementaryDpp(std::move(basis), rng);
 }

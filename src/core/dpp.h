@@ -56,7 +56,8 @@ class Dpp {
 
   /// Exact sample (Hough et al. / Kulesza & Taskar Alg. 1): choose each
   /// eigenvector independently with probability lambda/(1+lambda), then
-  /// sample the induced elementary DPP. Returned indices ascend.
+  /// sample the induced elementary DPP (SampleElementaryDpp, O(m k^2)
+  /// for k chosen eigenvectors). Returned indices ascend.
   Result<std::vector<int>> Sample(Rng* rng) const;
 
  private:
@@ -67,10 +68,18 @@ class Dpp {
 };
 
 /// Samples the elementary DPP spanned by the given orthonormal columns
-/// (selects exactly `basis.cols()` items). Shared by Dpp and KDpp.
-/// `basis` is consumed. Fails with NumericalError on basis collapse or
-/// when the residual selection weights over unchosen items vanish (the
-/// sampler never emits a duplicate index).
+/// (selects exactly `basis.cols()` items). Shared by Dpp and every KDpp
+/// representation. `basis` is consumed. Runs the chain rule for the
+/// projection kernel V V^T (Tremblay, Barthelme & Amblard 2018, "Optimized
+/// algorithms to sample determinantal point processes"): one new
+/// Cholesky column per pick updates every item's conditional weight, so
+/// a draw of k items from m costs O(m k^2). Consumes one Categorical per
+/// pick, over all m weights in item order with chosen items at zero.
+/// Fails with NumericalError when the residual selection weights over
+/// unchosen items vanish or go non-finite, when the basis is collapsed
+/// (rank-deficient: the residual trace falls below half of its
+/// orthonormal value), or when a chosen item has no support; it never
+/// emits a duplicate index.
 Result<std::vector<int>> SampleElementaryDpp(Matrix basis, Rng* rng);
 
 }  // namespace lkpdpp

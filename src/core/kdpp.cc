@@ -288,8 +288,10 @@ Result<std::vector<int>> KDpp::Sample(Rng* rng) const {
     return SampleElementaryDpp(std::move(basis), rng);
   }
   Matrix v(m, k_);
-  for (int c = 0; c < k_; ++c) {
-    v.SetCol(c, eig_.eigenvectors.Col(selected[static_cast<size_t>(c)]));
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < k_; ++c) {
+      v(r, c) = eig_.eigenvectors(r, selected[static_cast<size_t>(c)]);
+    }
   }
   return SampleElementaryDpp(std::move(v), rng);
 }

@@ -29,7 +29,8 @@ namespace lkpdpp {
 /// eigendecomposes the m x m kernel. The dual one (CreateDual) takes a
 /// rank-d factor V with L = V V^T and works entirely through the d x d
 /// dual kernel C = V^T V (Gartrell et al. 2016): construction costs
-/// O(m d^2 + d^3) instead of O(m^3), each Sample costs O(m d k), and the
+/// O(m d^2 + d^3) instead of O(m^3), each Sample costs O(m d k) for the
+/// lift plus the shared O(m k^2) elementary-DPP phase, and the
 /// m x m kernel is never materialized. The factor-diag one
 /// (CreateFactorDiag) takes L = W W^T + Diag(diag) — the blended
 /// kernel after quality conditioning — computes the full
@@ -117,9 +118,12 @@ class KDpp {
   /// Exact sample of a cardinality-k subset (ascending indices).
   /// Two-phase algorithm: select an elementary DPP (eigenvector subset of
   /// size k) by walking the ESP table, then sample the elementary DPP by
-  /// iterative projection. Each call rebuilds the ESP table from the
-  /// stored eigenvalues (O(m*k), the table Create checked). Thread-safe:
-  /// concurrent calls with distinct Rngs only read shared state.
+  /// the projection-DPP chain rule (SampleElementaryDpp; Tremblay,
+  /// Barthelme & Amblard 2018), O(m k^2) over the k selected
+  /// eigenvectors, which every representation hands to the same sampler.
+  /// Each call rebuilds the ESP table from the stored eigenvalues
+  /// (O(m*k), the table Create checked). Thread-safe: concurrent calls
+  /// with distinct Rngs only read shared state.
   Result<std::vector<int>> Sample(Rng* rng) const;
 
   /// Marginal kernel M with M_ii = P(i in S); in general

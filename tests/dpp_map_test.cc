@@ -4,12 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "core/dpp.h"
+#include "core/esp.h"
 #include "core/kdpp.h"
 #include "core/map_inference.h"
 #include "kernels/gaussian_embedding.h"
+#include "linalg/low_rank.h"
 #include "linalg/lu.h"
 #include "testing_util.h"
 
@@ -304,6 +310,265 @@ TEST(ElementaryDppSamplerTest, ValidBasisStillSamplesDistinctItems) {
     ASSERT_EQ(s->size(), 3u);
     EXPECT_LT((*s)[0], (*s)[1]);
     EXPECT_LT((*s)[1], (*s)[2]);
+  }
+}
+
+// Oracle: the Gram-Schmidt elementary DPP sampler the chain rule
+// replaced (Kulesza & Taskar Alg. 1, phase 2): after each pick it
+// eliminates the item's component with the largest pivot column and
+// re-orthonormalizes the remaining basis, O(m k^3) per draw. It consumes
+// one Categorical per pick over all m weights, as the library does.
+Result<std::vector<int>> GramSchmidtElementaryDpp(Matrix basis, Rng* rng) {
+  const int m = basis.rows();
+  int dim = basis.cols();
+  std::vector<int> items;
+  while (dim > 0) {
+    std::vector<double> weights(static_cast<size_t>(m), 0.0);
+    for (int i = 0; i < m; ++i) {
+      double s = 0.0;
+      for (int c = 0; c < dim; ++c) s += basis(i, c) * basis(i, c);
+      weights[static_cast<size_t>(i)] = s;
+    }
+    for (int chosen : items) weights[static_cast<size_t>(chosen)] = 0.0;
+    double total = 0.0;
+    for (double w : weights) total += w;
+    if (!(total > 0.0)) return Status::NumericalError("weights vanished");
+    const int item = rng->Categorical(weights);
+    items.push_back(item);
+    if (dim == 1) break;
+    int pivot = 0;
+    double best = std::fabs(basis(item, 0));
+    for (int c = 1; c < dim; ++c) {
+      if (std::fabs(basis(item, c)) > best) {
+        best = std::fabs(basis(item, c));
+        pivot = c;
+      }
+    }
+    if (best <= 0.0) return Status::NumericalError("no support");
+    for (int c = 0; c < dim; ++c) {
+      if (c == pivot) continue;
+      const double f = basis(item, c) / basis(item, pivot);
+      for (int r = 0; r < m; ++r) basis(r, c) -= f * basis(r, pivot);
+    }
+    if (pivot != dim - 1) {
+      for (int r = 0; r < m; ++r) basis(r, pivot) = basis(r, dim - 1);
+    }
+    --dim;
+    for (int c = 0; c < dim; ++c) {
+      for (int prev = 0; prev < c; ++prev) {
+        double dot = 0.0;
+        for (int r = 0; r < m; ++r) dot += basis(r, c) * basis(r, prev);
+        for (int r = 0; r < m; ++r) basis(r, c) -= dot * basis(r, prev);
+      }
+      double norm = 0.0;
+      for (int r = 0; r < m; ++r) norm += basis(r, c) * basis(r, c);
+      norm = std::sqrt(norm);
+      if (norm <= 1e-12) return Status::NumericalError("basis collapsed");
+      for (int r = 0; r < m; ++r) basis(r, c) /= norm;
+    }
+  }
+  std::sort(items.begin(), items.end());
+  return items;
+}
+
+// KDpp::Sample's phase 1 (the ESP-table walk), copied so the oracle can
+// see which eigenvectors a draw selects. Columns come out descending.
+std::vector<int> WalkEigenvectorIndices(const Vector& lambda, int k,
+                                        Rng* rng) {
+  const Matrix table = EspTable(lambda, k);
+  std::vector<int> selected;
+  int l = k;
+  for (int col = lambda.size(); col >= 1 && l > 0; --col) {
+    const double p = lambda[col - 1] * table(l - 1, col - 1) / table(l, col);
+    if (rng->Uniform() < p) {
+      selected.push_back(col - 1);
+      --l;
+    }
+  }
+  return selected;
+}
+
+Matrix GatherColumns(const Matrix& vecs, const std::vector<int>& cols) {
+  Matrix out(vecs.rows(), static_cast<int>(cols.size()));
+  for (int r = 0; r < vecs.rows(); ++r) {
+    for (int c = 0; c < out.cols(); ++c) {
+      out(r, c) = vecs(r, cols[static_cast<size_t>(c)]);
+    }
+  }
+  return out;
+}
+
+// Orthonormal m x dim basis: eigenvectors of a random kernel.
+Matrix RandomOrthonormalBasis(int m, int dim, Rng* rng) {
+  auto eig = SymmetricEigen(RandomPsd(m, rng));
+  LKP_CHECK(eig.ok());
+  std::vector<int> cols;
+  for (int c = 0; c < dim; ++c) cols.push_back(m - 1 - c);
+  return GatherColumns(eig->eigenvectors, cols);
+}
+
+TEST(ElementaryDppSamplerTest, ChainRuleDrawsTheGramSchmidtStream) {
+  // KDpp::Sample against the phase-1 walk followed by the oracle, from
+  // one seed: primal bases are eigenvectors of L chosen by the walk,
+  // dual bases are the same choice lifted from the d x d dual kernel.
+  // Both samplers compute the same conditional weights, rounded
+  // differently. A mismatch would therefore be a boundary flip: the
+  // Categorical's uniform landing within rounding of a cumulative-weight
+  // boundary, an event of probability on the order of m * 1e-16 per
+  // pick, not an error in the distribution. Any flip is still reported here, so it is visible
+  // rather than absorbed by a tolerance.
+  struct Shape {
+    int m;
+    int k;
+    int rank;  // Dual factor columns.
+  };
+  constexpr int kKernels = 20;
+  constexpr int kDrawsPerKernel = 500;
+  for (const Shape& shape : {Shape{10, 5, 8}, Shape{30, 10, 16},
+                             Shape{64, 10, 24}}) {
+    for (const bool dual : {false, true}) {
+      int mismatches = 0;
+      for (int kernel = 0; kernel < kKernels; ++kernel) {
+        Rng build(static_cast<uint64_t>(1000 * shape.m + 2 * kernel + dual));
+        LowRankFactor factor;
+        Result<KDpp> kdpp = Status::Internal("unset");
+        if (dual) {
+          Matrix v = testutil::RandomMatrix(shape.m, shape.rank, &build);
+          v *= 1.0 / std::sqrt(static_cast<double>(shape.rank));
+          auto f = LowRankFactor::Create(std::move(v));
+          ASSERT_TRUE(f.ok());
+          factor = *f;
+          kdpp = KDpp::CreateDual(std::move(*f), shape.k);
+        } else {
+          kdpp = KDpp::Create(RandomPsd(shape.m, &build), shape.k);
+        }
+        ASSERT_TRUE(kdpp.ok()) << kdpp.status().ToString();
+        const uint64_t seed = build.Next();
+        Rng chain(seed);
+        Rng oracle(seed);
+        for (int draw = 0; draw < kDrawsPerKernel; ++draw) {
+          auto got = kdpp->Sample(&chain);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const std::vector<int> selected =
+              WalkEigenvectorIndices(kdpp->eigenvalues(), shape.k, &oracle);
+          Matrix basis =
+              dual ? factor.LiftEigenvectors(kdpp->eigenvalues(),
+                                             kdpp->eigenvectors(), selected)
+                   : GatherColumns(kdpp->eigenvectors(), selected);
+          auto want = GramSchmidtElementaryDpp(std::move(basis), &oracle);
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          if (*got != *want) ++mismatches;
+        }
+        // One Uniform per walk step and per pick on both sides.
+        EXPECT_EQ(chain.Next(), oracle.Next());
+      }
+      EXPECT_EQ(mismatches, 0)
+          << "m=" << shape.m << " k=" << shape.k << " dual=" << dual
+          << " over " << kKernels * kDrawsPerKernel << " draws";
+    }
+  }
+}
+
+TEST(ElementaryDppSamplerTest, FrequenciesMatchProjectionDeterminants) {
+  // P(S) = det(V_S)^2 for the projection DPP spanned by V's orthonormal
+  // columns. With 35 subsets and 2e5 draws the expected total variation
+  // of an exact sampler is at most 0.5 * sqrt(2 * 35 / (pi * 2e5)),
+  // about 5.3e-3; the bound is about twice that.
+  constexpr int kM = 7;
+  constexpr int kK = 3;
+  constexpr int kDraws = 200000;
+  constexpr double kTvBound = 0.01;
+  Rng build(71);
+  const Matrix basis = RandomOrthonormalBasis(kM, kK, &build);
+  std::map<std::vector<int>, double> exact;
+  double mass = 0.0;
+  std::vector<int> subset = {0, 1, 2};
+  do {
+    auto det = Determinant(basis.Submatrix(subset, {0, 1, 2}));
+    ASSERT_TRUE(det.ok());
+    exact[subset] = *det * *det;
+    mass += *det * *det;
+  } while (NextCombination(&subset, kM));
+  ASSERT_NEAR(mass, 1.0, 1e-12);  // Cauchy-Binet.
+
+  using Sampler = Result<std::vector<int>> (*)(Matrix, Rng*);
+  const std::pair<const char*, Sampler> samplers[] = {
+      {"chain rule", &SampleElementaryDpp},
+      {"gram-schmidt oracle", &GramSchmidtElementaryDpp}};
+  for (const auto& [name, sample] : samplers) {
+    Rng rng(72);
+    std::map<std::vector<int>, int> counts;
+    for (int draw = 0; draw < kDraws; ++draw) {
+      auto s = sample(basis, &rng);
+      ASSERT_TRUE(s.ok()) << name;
+      ASSERT_EQ(exact.count(*s), 1u) << name << ": not a 3-subset";
+      ++counts[*s];
+    }
+    double tv = 0.0;
+    for (const auto& [set, p] : exact) {
+      tv += std::fabs(counts[set] / static_cast<double>(kDraws) - p);
+    }
+    tv *= 0.5;
+    EXPECT_LT(tv, kTvBound) << name;
+  }
+}
+
+TEST(ElementaryDppSamplerTest, NonFiniteBasisFailsWithoutDuplicates) {
+  Rng build(81);
+  const Matrix clean = RandomOrthonormalBasis(6, 3, &build);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (int r = 0; r < clean.rows(); ++r) {
+      for (int c = 0; c < clean.cols(); ++c) {
+        Matrix basis = clean;
+        basis(r, c) = bad;
+        Rng rng(static_cast<uint64_t>(82 + 3 * r + c));
+        auto s = SampleElementaryDpp(std::move(basis), &rng);
+        ASSERT_FALSE(s.ok()) << "bad=" << bad << " at (" << r << ", " << c
+                             << ")";
+        EXPECT_EQ(s.status().code(), StatusCode::kNumericalError);
+      }
+    }
+  }
+}
+
+TEST(ElementaryDppSamplerTest, RankDeficientBasisFailsOnEverySeed) {
+  // Two equal columns span only two dimensions of a three-column basis.
+  // Without the residual-trace guard the chain rule would draw the third
+  // item from round-off on about half of the seeds; the Gram-Schmidt
+  // oracle fails on every seed, and so must the chain rule.
+  Rng build(91);
+  Matrix basis = RandomOrthonormalBasis(6, 3, &build);
+  for (int r = 0; r < basis.rows(); ++r) basis(r, 2) = basis(r, 1);
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    Rng rng(seed);
+    auto s = SampleElementaryDpp(basis, &rng);
+    ASSERT_FALSE(s.ok()) << "seed " << seed;
+    EXPECT_EQ(s.status().code(), StatusCode::kNumericalError);
+    Rng oracle_rng(seed);
+    EXPECT_FALSE(GramSchmidtElementaryDpp(basis, &oracle_rng).ok());
+  }
+}
+
+TEST(ElementaryDppSamplerTest, OrthonormalBasesNeverTripTheCollapseGuard) {
+  // The guard fires below half the exact residual trace; orthonormal
+  // bases sit at the trace up to rounding, including the full-rank case
+  // dim == m where every item is drawn.
+  Rng build(101);
+  for (const int m : {1, 2, 7, 30, 64}) {
+    for (const int dim : {1, std::max(1, m / 2), m}) {
+      for (int basis_index = 0; basis_index < 10; ++basis_index) {
+        const Matrix basis = RandomOrthonormalBasis(m, dim, &build);
+        Rng rng(build.Next());
+        for (int draw = 0; draw < 20; ++draw) {
+          auto s = SampleElementaryDpp(basis, &rng);
+          ASSERT_TRUE(s.ok()) << "m=" << m << " dim=" << dim << ": "
+                              << s.status().ToString();
+          ASSERT_EQ(s->size(), static_cast<size_t>(dim));
+          for (int i = 1; i < dim; ++i) ASSERT_LT((*s)[i - 1], (*s)[i]);
+        }
+      }
+    }
   }
 }
 
