@@ -1,8 +1,10 @@
 // Google-benchmark micro suite: the design-choice ablations DESIGN.md
 // calls out — ESP recursion vs brute-force enumeration, the two-stage
 // tridiagonalization eigensolver vs the Jacobi reference, kernel
-// assembly, criterion evaluation, and exact k-DPP sampling (whole draws
-// and the elementary-DPP phase alone). These justify
+// assembly, criterion evaluation, exact k-DPP sampling (whole draws
+// and the elementary-DPP phase alone), and the serving KernelCache's
+// bookkeeping (insert with eviction, GetCurrent, item invalidation).
+// These justify
 // the O((k+n)k) normalization claim of the paper (Section III-B4).
 // bench/eigen_bench extends the eigensolver comparison to serving-pool
 // sizes without requiring Google Benchmark.
@@ -10,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dpp.h"
@@ -18,6 +22,7 @@
 #include "core/lkp.h"
 #include "kernels/quality_diversity.h"
 #include "linalg/eigen.h"
+#include "serve/kernel_cache.h"
 
 namespace lkpdpp {
 namespace {
@@ -181,6 +186,100 @@ void BM_EnumerateSubsets(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumerateSubsets)->Arg(8)->Arg(10)->Arg(12);
+
+// KernelCache at the serving defaults: a full 4,096-entry, 16-shard
+// cache of 30-item pools over a 2,000-item catalog. Entries carry no
+// kernel, so only the cache's own work is timed.
+constexpr int kCacheCapacity = 4096;
+constexpr int kCachePool = 30;
+constexpr int kCacheCatalog = 2000;
+// Users inserted at set-up: twice the capacity, so every shard is full.
+constexpr int kCacheUsers = 2 * kCacheCapacity;
+
+struct CacheWorld {
+  std::vector<std::shared_ptr<const ServedKernel>> entries;  // By user.
+  std::vector<uint64_t> hashes;
+  KernelCache cache{kCacheCapacity};
+
+  CacheWorld() {
+    for (int u = 0; u < kCacheUsers; ++u) {
+      auto e = std::make_shared<ServedKernel>();
+      e->items.resize(kCachePool);
+      for (int j = 0; j < kCachePool; ++j) {
+        e->items[static_cast<size_t>(j)] = (u * 37 + j * 61) % kCacheCatalog;
+      }
+      e->model_version = 1;
+      hashes.push_back(HashGroundSet(e->items));
+      entries.push_back(std::move(e));
+    }
+    for (long u = 0; u < kCacheUsers; ++u) Put(u);
+  }
+  // Inserts user `u` with the pool of user u % kCacheUsers.
+  void Put(long u) {
+    const size_t slot = static_cast<size_t>(u % kCacheUsers);
+    cache.Put(static_cast<int>(u), hashes[slot], entries[slot]);
+  }
+};
+
+void BM_KernelCachePutEvict(benchmark::State& state) {
+  CacheWorld world;
+  const long evictions_before = world.cache.evictions();
+  long next_user = kCacheUsers;  // Never resident: every Put evicts.
+  for (auto _ : state) world.Put(next_user++);
+  state.counters["evictions_per_put"] = benchmark::Counter(
+      static_cast<double>(world.cache.evictions() - evictions_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_KernelCachePutEvict);
+
+void BM_KernelCacheGetCurrent(benchmark::State& state) {
+  const bool hit = state.range(0) == 1;
+  CacheWorld world;
+  std::vector<int> users;
+  for (int u = 0; u < kCacheUsers; ++u) {
+    if (!hit) {
+      users.push_back(kCacheUsers + u);  // Never inserted.
+    } else if (world.cache.GetCurrent(u, 1) != nullptr) {
+      users.push_back(u);
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(world.cache.GetCurrent(users[i], 1));
+    if (++i == users.size()) i = 0;
+  }
+}
+BENCHMARK(BM_KernelCacheGetCurrent)->ArgName("hit")->Arg(1)->Arg(0);
+
+void BM_KernelCacheInvalidateItems(benchmark::State& state) {
+  CacheWorld world;
+  // Resident users by pool item, to put the invalidated entries back
+  // (untimed) so every call sees the same full cache.
+  std::vector<std::vector<long>> holders(kCacheCatalog);
+  for (int u = 0; u < kCacheUsers; ++u) {
+    if (world.cache.Get(u, world.hashes[static_cast<size_t>(u)]) == nullptr) {
+      continue;
+    }
+    for (int item : world.entries[static_cast<size_t>(u)]->items) {
+      holders[static_cast<size_t>(item)].push_back(u);
+    }
+  }
+  int item = 0;
+  long invalidated = 0;
+  for (auto _ : state) {
+    invalidated += world.cache.InvalidateItems({item, item + 1});
+    state.PauseTiming();
+    for (int touched : {item, item + 1}) {
+      for (long u : holders[static_cast<size_t>(touched)]) world.Put(u);
+    }
+    item = (item + 2) % kCacheCatalog;
+    state.ResumeTiming();
+  }
+  state.counters["invalidated_per_call"] =
+      benchmark::Counter(static_cast<double>(invalidated),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_KernelCacheInvalidateItems);
 
 }  // namespace
 }  // namespace lkpdpp

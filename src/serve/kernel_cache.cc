@@ -104,148 +104,141 @@ KernelCache::KernelCache(int capacity, int shards) : capacity_(capacity) {
   }
 }
 
-void KernelCache::IndexEntryLocked(Shard& shard, const Key& key,
-                                   const ServedKernel& value) {
-  shard.user_keys[key.user].push_back(key);
-  for (int item : value.items) shard.item_keys[item].push_back(key);
+KernelCache::LruList::iterator KernelCache::FindLocked(Shard& shard,
+                                                      int user,
+                                                      uint64_t hash) {
+  auto bucket = shard.by_user.find(user);
+  if (bucket != shard.by_user.end()) {
+    for (LruList::iterator node : bucket->second) {
+      if (node->hash == hash) return node;
+    }
+  }
+  return shard.lru.end();
 }
 
-void KernelCache::UnindexEntryLocked(Shard& shard, const Key& key,
-                                     const ServedKernel& value) {
-  auto remove_one = [&](std::unordered_map<int, std::vector<Key>>& buckets,
-                        int id) {
-    auto it = buckets.find(id);
-    if (it == buckets.end()) return;
-    std::vector<Key>& keys = it->second;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == key) {
-        keys[i] = keys.back();
-        keys.pop_back();
-        break;
-      }
-    }
-    if (keys.empty()) buckets.erase(it);
-  };
-  remove_one(shard.user_keys, key.user);
-  // A ground set never repeats an item, so one pass per item removes
-  // exactly this entry's contribution.
-  for (int item : value.items) remove_one(shard.item_keys, item);
+std::shared_ptr<const ServedKernel> KernelCache::HitLocked(
+    Shard& shard, LruList::iterator node) {
+  hits_.Inc();
+  CacheHitsTotal()->Inc();
+  shard.lru.splice(shard.lru.begin(), shard.lru, node);
+  return node->value;
 }
 
 std::shared_ptr<const ServedKernel> KernelCache::Get(int user,
                                                      uint64_t ground_hash) {
-  const Key key{user, ground_hash};
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  auto node = FindLocked(shard, user, ground_hash);
+  if (node == shard.lru.end()) {
     misses_.Inc();
     CacheMissesTotal()->Inc();
     return nullptr;
   }
-  hits_.Inc();
-  CacheHitsTotal()->Inc();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
+  return HitLocked(shard, node);
 }
 
 std::shared_ptr<const ServedKernel> KernelCache::GetCurrent(
     int user, uint64_t model_version) {
   if (capacity_ == 0) return nullptr;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    auto bucket = shard->user_keys.find(user);
-    if (bucket == shard->user_keys.end()) continue;
-    for (const Key& key : bucket->second) {
-      auto it = shard->index.at(key);
-      if (it->second->model_version != model_version) continue;
-      hits_.Inc();
-      CacheHitsTotal()->Inc();
-      shard->lru.splice(shard->lru.begin(), shard->lru, it);
-      return it->second;
+  Shard& shard = ShardFor(user);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto bucket = shard.by_user.find(user);
+  if (bucket == shard.by_user.end()) return nullptr;
+  for (LruList::iterator node : bucket->second) {
+    if (node->value->model_version == model_version) {
+      return HitLocked(shard, node);
     }
   }
   return nullptr;
 }
 
-void KernelCache::PutLocked(Shard& shard, const Key& key,
-                            std::shared_ptr<const ServedKernel> value) {
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    // Concurrent fill of the same key: keep the newer value, refresh.
-    // The ground sets may differ (64-bit hash collision), so re-derive
-    // the reverse-index rows from each value rather than assuming they
-    // match.
-    UnindexEntryLocked(shard, key, *it->second->second);
-    IndexEntryLocked(shard, key, *value);
-    it->second->second = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+void KernelCache::PutLocked(Shard& shard, int user, uint64_t hash,
+                            std::shared_ptr<const ServedKernel> value,
+                            Victims* victims) {
+  std::vector<LruList::iterator>& nodes = shard.by_user[user];
+  for (LruList::iterator node : nodes) {
+    if (node->hash != hash) continue;
+    // Concurrent fill of the same key, or a rebuild after a 64-bit hash
+    // collision: keep the newer value, refresh.
+    victims->push_back(std::move(node->value));
+    node->value = std::move(value);
+    shard.lru.splice(shard.lru.begin(), shard.lru, node);
     return;
   }
-  IndexEntryLocked(shard, key, *value);
-  shard.lru.emplace_front(key, std::move(value));
-  shard.index[key] = shard.lru.begin();
+  shard.lru.push_front(Entry{user, hash, std::move(value)});
+  nodes.push_back(shard.lru.begin());
   while (static_cast<int>(shard.lru.size()) > shard.capacity) {
-    const Entry& victim = shard.lru.back();
-    UnindexEntryLocked(shard, victim.first, *victim.second);
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
+    EraseLocked(shard, std::prev(shard.lru.end()), victims);
     evictions_.Inc();
     shard.evictions_metric->Inc();
   }
 }
 
-void KernelCache::EraseLocked(Shard& shard, const Key& key) {
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return;
-  UnindexEntryLocked(shard, key, *it->second->second);
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
+void KernelCache::EraseLocked(Shard& shard, LruList::iterator node,
+                              Victims* victims) {
+  auto bucket = shard.by_user.find(node->user);
+  std::vector<LruList::iterator>& nodes = bucket->second;
+  *std::find(nodes.begin(), nodes.end(), node) = nodes.back();
+  nodes.pop_back();
+  if (nodes.empty()) shard.by_user.erase(bucket);
+  victims->push_back(std::move(node->value));
+  shard.lru.erase(node);
 }
 
 long KernelCache::InvalidateUsers(const std::vector<int>& users) {
   long total = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    for (int user : users) {
-      auto it = shard->user_keys.find(user);
-      if (it == shard->user_keys.end()) continue;
-      // EraseLocked mutates the bucket we're draining; move it out first.
-      std::vector<Key> keys = std::move(it->second);
-      shard->user_keys.erase(it);
-      for (const Key& key : keys) {
-        EraseLocked(*shard, key);
-        ++total;
-        shard->invalidated += 1;
-        invalidations_.Inc();
-        shard->invalidations_metric->Inc();
-      }
+  Victims victims;  // Freed after every shard lock is released.
+  for (int user : users) {
+    Shard& shard = ShardFor(user);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto bucket = shard.by_user.find(user);
+    if (bucket == shard.by_user.end()) continue;
+    const long n = static_cast<long>(bucket->second.size());
+    for (LruList::iterator node : bucket->second) {
+      victims.push_back(std::move(node->value));
+      shard.lru.erase(node);
     }
+    shard.by_user.erase(bucket);
+    total += n;
+    shard.invalidated += n;
+    invalidations_.Inc(n);
+    shard.invalidations_metric->Inc(n);
   }
   return total;
 }
 
 long KernelCache::InvalidateItems(const std::vector<int>& items) {
+  // A negative id casts past the end of `touched`: never flagged.
+  std::vector<char> touched;
+  for (int item : items) {
+    if (item < 0) continue;
+    touched.resize(std::max(touched.size(), static_cast<size_t>(item) + 1));
+    touched[static_cast<size_t>(item)] = 1;
+  }
+  if (touched.empty()) return 0;
+  auto holds_touched = [&touched](const ServedKernel& entry) {
+    return std::any_of(entry.items.begin(), entry.items.end(), [&](int item) {
+      return static_cast<size_t>(item) < touched.size() &&
+             touched[static_cast<size_t>(item)];
+    });
+  };
   long total = 0;
+  Victims victims;  // Freed after every shard lock is released.
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->mu);
-    for (int item : items) {
-      auto it = shard->item_keys.find(item);
-      if (it == shard->item_keys.end()) continue;
-      std::vector<Key> keys = std::move(it->second);
-      shard->item_keys.erase(it);
-      for (const Key& key : keys) {
-        // A key can sit in several drained buckets (entry containing
-        // two touched items); EraseLocked no-ops on the second visit.
-        auto idx = shard->index.find(key);
-        if (idx == shard->index.end()) continue;
-        EraseLocked(*shard, key);
-        ++total;
-        shard->invalidated += 1;
-        invalidations_.Inc();
-        shard->invalidations_metric->Inc();
+    long n = 0;
+    for (auto node = shard->lru.begin(); node != shard->lru.end();) {
+      auto next = std::next(node);
+      if (holds_touched(*node->value)) {
+        EraseLocked(*shard, node, &victims);
+        ++n;
       }
+      node = next;
     }
+    total += n;
+    shard->invalidated += n;
+    invalidations_.Inc(n);
+    shard->invalidations_metric->Inc(n);
   }
   return total;
 }
@@ -253,17 +246,17 @@ long KernelCache::InvalidateItems(const std::vector<int>& items) {
 void KernelCache::Put(int user, uint64_t ground_hash,
                       std::shared_ptr<const ServedKernel> value) {
   if (capacity_ == 0) return;
-  const Key key{user, ground_hash};
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(user);
+  Victims victims;
   std::lock_guard<std::mutex> lk(shard.mu);
-  PutLocked(shard, key, std::move(value));
+  PutLocked(shard, user, ground_hash, std::move(value), &victims);
 }
 
 Result<std::shared_ptr<const ServedKernel>> KernelCache::GetOrBuild(
     int user, uint64_t ground_hash, const std::vector<int>& items,
     const Builder& build, bool* was_hit) {
-  const Key key{user, ground_hash};
-  Shard& shard = ShardFor(key);
+  const std::pair<int, uint64_t> key{user, ground_hash};
+  Shard& shard = ShardFor(user);
   if (was_hit != nullptr) *was_hit = false;
 
   std::shared_ptr<InFlight> flight;
@@ -271,14 +264,10 @@ Result<std::shared_ptr<const ServedKernel>> KernelCache::GetOrBuild(
   {
     LKP_TRACE_SPAN("serve.cache_lookup");
     std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second->second != nullptr &&
-        it->second->second->items == items) {
-      hits_.Inc();
-      CacheHitsTotal()->Inc();
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    auto node = FindLocked(shard, user, ground_hash);
+    if (node != shard.lru.end() && node->value->items == items) {
       if (was_hit != nullptr) *was_hit = true;
-      return it->second->second;
+      return HitLocked(shard, node);
     }
     // Miss (or a 64-bit hash collision whose entry was conditioned on a
     // different ground set — rebuilt rather than served wrong).
@@ -328,8 +317,11 @@ Result<std::shared_ptr<const ServedKernel>> KernelCache::GetOrBuild(
     CacheBuildMs((*built)->path)->Observe(build_timer.ElapsedMillis());
   }
   {
+    Victims victims;
     std::lock_guard<std::mutex> lk(shard.mu);
-    if (built.ok() && capacity_ > 0) PutLocked(shard, key, *built);
+    if (built.ok() && capacity_ > 0) {
+      PutLocked(shard, user, ground_hash, *built, &victims);
+    }
     shard.inflight.erase(key);
   }
   {
@@ -343,11 +335,10 @@ Result<std::shared_ptr<const ServedKernel>> KernelCache::GetOrBuild(
 
 void KernelCache::Clear() {
   for (auto& shard : shards_) {
+    LruList dropped;  // Freed after the shard lock is released.
     std::lock_guard<std::mutex> lk(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->user_keys.clear();
-    shard->item_keys.clear();
+    dropped.swap(shard->lru);
+    shard->by_user.clear();
   }
 }
 

@@ -10,8 +10,8 @@
 // kernel is dropped after the eigensolve (KDpp::CreateSampler).
 //
 // Concurrency: the table is lock-striped into N independent shards, each
-// with its own mutex, LRU list, and counters, so concurrent lookups on
-// different keys never serialize on one global lock. Eviction is LRU
+// with its own mutex, LRU list, and counters, so concurrent lookups for
+// different users never serialize on one global lock. Eviction is LRU
 // *per shard* (globally approximate LRU). Small capacities collapse to a
 // single shard so the exact-LRU behavior unit tests rely on survives.
 //
@@ -25,20 +25,32 @@
 // computed under, and every ServedKernel carries the model_version epoch
 // it was built against. A streaming update (see serve/model_update.h)
 // that folds fresh interactions into a handful of user/item parameter
-// rows does NOT require nuking the cache: each shard keeps a reverse
-// index (user id -> its keys, item id -> keys whose ground set contains
-// the item), so InvalidateUsers/InvalidateItems evict exactly the
-// entries whose inputs changed — any entry owned by a touched user, or
-// whose pool contains a touched item — and leave everything else warm.
-// Pool-membership drift needs no invalidation: the key includes the
-// ground-set hash, so a pool recomputed from fresh scores that admits or
-// drops an item simply misses and rebuilds, while the stale pool's entry
-// ages out by LRU. Because a user's pool is a pure function of (user,
-// model_version), an entry stamped with the current version is also the
-// user's current pool: GetCurrent finds it through the user reverse
-// index without the caller recomputing the pool at all. Clear() remains
-// the blunt fallback for full retrains / model swaps (the service owns
-// this; see RecommendationService::InvalidateModel).
+// rows does NOT require nuking the cache: InvalidateUsers/InvalidateItems
+// evict exactly the entries whose inputs changed — any entry owned by a
+// touched user, or whose pool contains a touched item — and leave
+// everything else warm. Pool-membership drift needs no invalidation: the
+// key includes the ground-set hash, so a pool recomputed from fresh
+// scores that admits or drops an item simply misses and rebuilds, while
+// the stale pool's entry ages out by LRU. Because a user's pool is a
+// pure function of (user, model_version), an entry stamped with the
+// current version is also the user's current pool: GetCurrent finds it
+// among the user's entries without the caller recomputing the pool at
+// all. Clear() remains the blunt fallback for full retrains / model
+// swaps (the service owns this; see RecommendationService::InvalidateModel).
+//
+// Layout and cost: shards are chosen by user, so all of a user's entries
+// share one shard, and each shard keeps a single index from user to that
+// user's LRU nodes (1-3 in serving: one per pool the user has been
+// served since it last aged out). Get, GetCurrent, Put and a GetOrBuild
+// hit take one shard lock, do one hash lookup and scan the user's nodes;
+// an insert or an LRU eviction touches only the user index, never
+// per-item state. InvalidateUsers costs one lock and one lookup per
+// user. InvalidateItems keeps no item index: it walks every shard's LRU
+// list once, O(resident entries x pool). That trade follows the measured
+// traffic: in sample_zipf ~28% of requests insert and evict, and nothing
+// invalidates; live_map makes ~100 invalidation calls per second. Entries
+// leaving the cache are released after the shard lock is dropped, so a
+// KDpp's eigenpairs are never freed under a lock.
 
 #ifndef LKPDPP_SERVE_KERNEL_CACHE_H_
 #define LKPDPP_SERVE_KERNEL_CACHE_H_
@@ -47,6 +59,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -131,8 +144,8 @@ class KernelCache {
   /// Returns the entry and refreshes its recency, or null on miss.
   std::shared_ptr<const ServedKernel> Get(int user, uint64_t ground_hash);
 
-  /// Inserts (or refreshes) an entry, evicting the least recently used
-  /// entry of its shard when that shard is over capacity.
+  /// Inserts (or refreshes) a non-null entry, evicting the least
+  /// recently used entry of its shard when that shard is over capacity.
   void Put(int user, uint64_t ground_hash,
            std::shared_ptr<const ServedKernel> value);
 
@@ -159,18 +172,18 @@ class KernelCache {
   /// The entry of `user` stamped with `model_version`, or null. A hit
   /// counts and refreshes recency exactly as a GetOrBuild hit on that
   /// entry would; a miss counts nothing (the caller's GetOrBuild does).
-  /// Walks every shard's user reverse index: O(shards + user's entries).
+  /// Locks only the user's shard and scans the user's entries.
   std::shared_ptr<const ServedKernel> GetCurrent(int user,
                                                  uint64_t model_version);
 
   /// Targeted invalidation: evicts every entry keyed on one of `users`
-  /// (any ground set), via the per-shard user reverse index. Returns the
-  /// number of entries evicted. O(shards + evicted), not O(cache).
+  /// (any ground set). Returns the number of entries evicted.
+  /// O(users + evicted), not O(cache).
   long InvalidateUsers(const std::vector<int>& users);
 
   /// Targeted invalidation: evicts every entry whose ground set contains
-  /// one of `items`, via the per-shard item reverse index. Returns the
-  /// number of entries evicted.
+  /// one of `items`, by one scan of every shard. Returns the number of
+  /// entries evicted. O(resident entries x pool).
   long InvalidateItems(const std::vector<int>& items);
 
   void Clear();
@@ -199,24 +212,15 @@ class KernelCache {
   static constexpr int kMinEntriesPerShard = 8;
 
  private:
-  struct Key {
+  struct Entry {
     int user;
     uint64_t hash;
-    bool operator==(const Key& o) const {
-      return user == o.user && hash == o.hash;
-    }
+    std::shared_ptr<const ServedKernel> value;
   };
-  struct KeyHasher {
-    size_t operator()(const Key& k) const {
-      // SplitMix64-style finalizer over the pair.
-      uint64_t x = k.hash ^ (static_cast<uint64_t>(k.user) * 0x9E3779B97F4A7C15ULL);
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ULL;
-      x ^= x >> 27;
-      return static_cast<size_t>(x);
-    }
-  };
-  using Entry = std::pair<Key, std::shared_ptr<const ServedKernel>>;
+  using LruList = std::list<Entry>;
+  /// Values leaving the cache under a shard lock. Declared before the
+  /// lock_guard, so they are destroyed after it unlocks.
+  using Victims = std::vector<std::shared_ptr<const ServedKernel>>;
 
   /// One caller computes, the rest block on `cv` until `done`.
   struct InFlight {
@@ -231,16 +235,12 @@ class KernelCache {
   struct Shard {
     mutable std::mutex mu;
     int capacity = 0;
-    std::list<Entry> lru;  // Front = most recently used.
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHasher> index;
-    std::unordered_map<Key, std::shared_ptr<InFlight>, KeyHasher> inflight;
-    // Reverse indices for targeted invalidation: every resident key,
-    // bucketed by its user and by each item of its entry's ground set.
-    // Maintained by PutLocked/EraseLocked so they mirror `index`
-    // exactly; empty buckets are erased so the maps stay proportional
-    // to resident entries, not to ids ever seen.
-    std::unordered_map<int, std::vector<Key>> user_keys;
-    std::unordered_map<int, std::vector<Key>> item_keys;
+    LruList lru;  // Front = most recently used.
+    // Every resident user's LRU nodes. Empty vectors are erased, so the
+    // map stays proportional to resident entries.
+    std::unordered_map<int, std::vector<LruList::iterator>> by_user;
+    // Builds in progress, by (user, hash): at most one per building thread.
+    std::map<std::pair<int, uint64_t>, std::shared_ptr<InFlight>> inflight;
     // Entries evicted by targeted invalidation (shard.mu held).
     long invalidated = 0;
     // Registry counters lkp_serve_cache_evictions_total{shard="<i>"} /
@@ -251,14 +251,14 @@ class KernelCache {
     obs::Counter* invalidations_metric = nullptr;
   };
 
-  /// Shard selection re-mixes the key hash through SplitMix64 before
-  /// the modulus. Reusing KeyHasher's value verbatim would make the
-  /// shard index a pure function of the SAME bits the per-shard
-  /// unordered_map buckets on, so every key landing in shard i would
-  /// share `hash % num_shards == i` — correlated bucket structure
-  /// inside every shard. The finalizer decorrelates the two uses.
-  static size_t ShardIndexFor(size_t key_hash, size_t num_shards) {
-    uint64_t x = static_cast<uint64_t>(key_hash) + 0x9E3779B97F4A7C15ULL;
+  /// Shard of `user`: the SplitMix64 finalizer of the id, modulo the
+  /// shard count. Keying on the user alone keeps all of a user's
+  /// entries in one shard, so GetCurrent and InvalidateUsers lock one
+  /// shard. The mix spreads consecutive ids and decorrelates the shard
+  /// from the by_user map's buckets (std::hash<int> is the identity).
+  static size_t ShardIndexFor(int user, size_t num_shards) {
+    uint64_t x = static_cast<uint64_t>(static_cast<uint32_t>(user)) +
+                 0x9E3779B97F4A7C15ULL;
     x ^= x >> 30;
     x *= 0xBF58476D1CE4E5B9ULL;
     x ^= x >> 27;
@@ -267,26 +267,26 @@ class KernelCache {
     return static_cast<size_t>(x) % num_shards;
   }
 
-  Shard& ShardFor(const Key& key) {
-    return *shards_[ShardIndexFor(KeyHasher{}(key), shards_.size())];
-  }
-  const Shard& ShardFor(const Key& key) const {
-    return *shards_[ShardIndexFor(KeyHasher{}(key), shards_.size())];
+  Shard& ShardFor(int user) {
+    return *shards_[ShardIndexFor(user, shards_.size())];
   }
 
-  /// Inserts or refreshes `key` in `shard` (shard.mu must be held).
-  void PutLocked(Shard& shard, const Key& key,
-                 std::shared_ptr<const ServedKernel> value);
+  /// The (user, hash) node, or lru.end() (shard.mu must be held).
+  static LruList::iterator FindLocked(Shard& shard, int user, uint64_t hash);
 
-  /// Removes `key`'s LRU node + index + reverse-index buckets
-  /// (shard.mu must be held). No-op if the key is not resident.
-  void EraseLocked(Shard& shard, const Key& key);
+  /// Counts a hit, refreshes `node` and returns its value (shard.mu held).
+  std::shared_ptr<const ServedKernel> HitLocked(Shard& shard,
+                                                LruList::iterator node);
 
-  /// Reverse-index bookkeeping (shard.mu must be held).
-  static void IndexEntryLocked(Shard& shard, const Key& key,
-                               const ServedKernel& value);
-  static void UnindexEntryLocked(Shard& shard, const Key& key,
-                                 const ServedKernel& value);
+  /// Inserts or refreshes (user, hash) in `shard`, moving replaced and
+  /// evicted values into `victims` (shard.mu must be held).
+  void PutLocked(Shard& shard, int user, uint64_t hash,
+                 std::shared_ptr<const ServedKernel> value, Victims* victims);
+
+  /// Unlinks `node` from the LRU list and the user index, moving its
+  /// value into `victims` (shard.mu must be held).
+  static void EraseLocked(Shard& shard, LruList::iterator node,
+                          Victims* victims);
 
   const int capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/map_inference.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -1273,6 +1276,392 @@ TEST(KernelCacheTest, GetOrBuildDetectsHashCollisionByItems) {
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(was_hit);  // Stale entry must not be served.
   EXPECT_EQ((*r)->items, other);
+}
+
+// ---------------------------------------------------------------------
+// KernelCache against a std-only reference model
+
+// An exact LRU list plus KernelCache's counters. It models one shard, or
+// any number of shards as long as none ever evicts. GetCurrent may
+// return any resident entry of the user with that stamp, so the caller
+// resolves which one the cache chose before touching it here.
+struct CacheModel {
+  struct Node {
+    int user;
+    uint64_t hash;
+    std::shared_ptr<const ServedKernel> value;
+  };
+  using Iter = std::list<Node>::iterator;
+
+  explicit CacheModel(int capacity) : capacity(capacity) {}
+
+  Iter Find(int user, uint64_t hash) {
+    return std::find_if(lru.begin(), lru.end(), [&](const Node& n) {
+      return n.user == user && n.hash == hash;
+    });
+  }
+  void Touch(Iter it) { lru.splice(lru.begin(), lru, it); }
+  void Put(int user, uint64_t hash,
+           std::shared_ptr<const ServedKernel> value) {
+    auto it = Find(user, hash);
+    if (it != lru.end()) {
+      it->value = std::move(value);
+      Touch(it);
+      return;
+    }
+    lru.push_front(Node{user, hash, std::move(value)});
+    while (static_cast<int>(lru.size()) > capacity) {
+      lru.pop_back();
+      ++evictions;
+      ++total_evictions;
+    }
+  }
+  template <typename Pred>
+  long Invalidate(Pred touched) {
+    long n = 0;
+    for (auto it = lru.begin(); it != lru.end();) {
+      if (touched(*it)) {
+        it = lru.erase(it);
+        ++n;
+      } else {
+        ++it;
+      }
+    }
+    invalidations += n;
+    return n;
+  }
+
+  int capacity;
+  std::list<Node> lru;  // Front = most recently used.
+  long hits = 0;
+  long misses = 0;
+  long evictions = 0;
+  long builds = 0;
+  long invalidations = 0;
+  long total_evictions = 0;  // Survives ResetCounters.
+};
+
+std::shared_ptr<const ServedKernel> StampedEntry(std::vector<int> items,
+                                                 uint64_t version) {
+  auto e = std::make_shared<ServedKernel>();
+  e->items = std::move(items);
+  e->model_version = version;
+  return e;
+}
+
+::testing::AssertionResult CacheMatchesModel(const KernelCache& cache,
+                                             const CacheModel& model) {
+  long shard_sum = 0;
+  for (long s : cache.InvalidationsByShard()) shard_sum += s;
+  const long got[] = {cache.hits(),          cache.misses(),
+                      cache.evictions(),     cache.builds(),
+                      cache.invalidations(), shard_sum,
+                      cache.size()};
+  const long want[] = {model.hits,
+                       model.misses,
+                       model.evictions,
+                       model.builds,
+                       model.invalidations,
+                       model.invalidations,
+                       static_cast<long>(model.lru.size())};
+  const char* names[] = {"hits",          "misses",
+                         "evictions",     "builds",
+                         "invalidations", "InvalidationsByShard sum",
+                         "size"};
+  for (int i = 0; i < 7; ++i) {
+    if (got[i] != want[i]) {
+      return ::testing::AssertionFailure()
+             << names[i] << ": cache " << got[i] << ", model " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Drives `cache` and `model` through the same seeded random sequence of
+// every public operation and checks returned entries and counters after
+// each one. Keys are drawn from num_users x num_hashes; each key usually
+// carries its own ground set (so GetOrBuild hits), otherwise a fresh set
+// forces a hash collision on the key.
+void RunAgainstModel(KernelCache* cache, CacheModel* model, int num_users,
+                     int num_hashes, uint64_t seed, int num_ops) {
+  Rng rng(seed);
+  constexpr int kItems = 24;
+  auto random_items = [&rng] {
+    std::vector<int> items;
+    const size_t n = 1 + static_cast<size_t>(rng.UniformInt(4));
+    while (items.size() < n) {
+      const int item = rng.UniformInt(kItems);
+      if (std::find(items.begin(), items.end(), item) == items.end()) {
+        items.push_back(item);
+      }
+    }
+    return items;
+  };
+  std::vector<std::vector<int>> own_items(
+      static_cast<size_t>(num_users * num_hashes));
+  for (auto& items : own_items) items = random_items();
+
+  for (int step = 0; step < num_ops; ++step) {
+    const int user = rng.UniformInt(num_users);
+    const int h = rng.UniformInt(num_hashes);
+    const uint64_t hash = static_cast<uint64_t>(h);
+    const uint64_t version = static_cast<uint64_t>(rng.UniformInt(3));
+    const std::vector<int>& own =
+        own_items[static_cast<size_t>(user * num_hashes + h)];
+    const int op = rng.UniformInt(100);
+    if (op < 20) {
+      auto value = StampedEntry(rng.Bernoulli(0.8) ? own : random_items(),
+                                version);
+      cache->Put(user, hash, value);
+      model->Put(user, hash, value);
+    } else if (op < 40) {
+      auto got = cache->Get(user, hash);
+      auto it = model->Find(user, hash);
+      if (it == model->lru.end()) {
+        ++model->misses;
+        ASSERT_EQ(got, nullptr) << "step " << step;
+      } else {
+        ++model->hits;
+        ASSERT_EQ(got, it->value) << "step " << step;
+        model->Touch(it);
+      }
+    } else if (op < 55) {
+      auto got = cache->GetCurrent(user, version);
+      bool any_current = false;
+      auto served = model->lru.end();
+      for (auto it = model->lru.begin(); it != model->lru.end(); ++it) {
+        if (it->user != user || it->value->model_version != version) continue;
+        any_current = true;
+        if (it->value == got) served = it;
+      }
+      if (!any_current) {
+        ASSERT_EQ(got, nullptr) << "step " << step;
+      } else {
+        ASSERT_TRUE(served != model->lru.end())
+            << "step " << step << ": GetCurrent missed a current entry";
+        ++model->hits;
+        model->Touch(served);
+      }
+    } else if (op < 80) {
+      const std::vector<int> items = rng.Bernoulli(0.9) ? own : random_items();
+      const bool fail = rng.Bernoulli(0.05);
+      auto it = model->Find(user, hash);
+      const bool expect_hit = it != model->lru.end() && it->value->items == items;
+      std::shared_ptr<const ServedKernel> built;
+      bool was_hit = false;
+      auto r = cache->GetOrBuild(
+          user, hash, items,
+          [&]() -> Result<std::shared_ptr<const ServedKernel>> {
+            if (fail) return Status::Internal("injected build failure");
+            built = StampedEntry(items, version);
+            return built;
+          },
+          &was_hit);
+      ASSERT_EQ(was_hit, expect_hit) << "step " << step;
+      if (expect_hit) {
+        ++model->hits;
+        ASSERT_TRUE(r.ok());
+        ASSERT_EQ(*r, it->value) << "step " << step;
+        model->Touch(it);
+      } else {
+        ++model->misses;
+        ++model->builds;
+        ASSERT_EQ(r.ok(), !fail) << "step " << step;
+        if (!fail) {
+          ASSERT_EQ(*r, built) << "step " << step;
+          model->Put(user, hash, built);
+        }
+      }
+    } else if (op < 88) {
+      std::vector<int> users(1 + static_cast<size_t>(rng.UniformInt(3)));
+      for (int& u : users) u = rng.UniformInt(num_users);
+      const long expected = model->Invalidate([&](const CacheModel::Node& n) {
+        return std::find(users.begin(), users.end(), n.user) != users.end();
+      });
+      ASSERT_EQ(cache->InvalidateUsers(users), expected) << "step " << step;
+    } else if (op < 96) {
+      std::vector<int> items(1 + static_cast<size_t>(rng.UniformInt(2)));
+      for (int& item : items) item = rng.UniformInt(kItems);
+      const long expected = model->Invalidate([&](const CacheModel::Node& n) {
+        for (int item : n.value->items) {
+          if (std::find(items.begin(), items.end(), item) != items.end()) {
+            return true;
+          }
+        }
+        return false;
+      });
+      ASSERT_EQ(cache->InvalidateItems(items), expected) << "step " << step;
+    } else if (op < 98) {
+      cache->Clear();
+      model->lru.clear();
+    } else {
+      cache->ResetCounters();
+      model->hits = model->misses = model->evictions = model->builds =
+          model->invalidations = 0;
+    }
+    ASSERT_TRUE(CacheMatchesModel(*cache, *model)) << "after step " << step;
+
+    if (step % 101 == 100) {
+      // Residency sweep: Get every modelled entry from least to most
+      // recently used, which re-touches them without changing their
+      // order, so a stray or missing entry shows without perturbing LRU.
+      for (auto it = model->lru.rbegin(); it != model->lru.rend(); ++it) {
+        ASSERT_EQ(cache->Get(it->user, it->hash), it->value)
+            << "step " << step << ": user " << it->user << " hash "
+            << it->hash;
+        ++model->hits;
+      }
+    }
+  }
+}
+
+TEST(KernelCacheTest, MatchesReferenceModelAsSingleExactLru) {
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    KernelCache cache(12);  // 32 possible keys over 12 slots: evicts often.
+    ASSERT_EQ(cache.num_shards(), 1);
+    CacheModel model(12);
+    RunAgainstModel(&cache, &model, /*num_users=*/8, /*num_hashes=*/4, seed,
+                    /*num_ops=*/10000);
+    EXPECT_GT(model.total_evictions, 0);
+  }
+}
+
+TEST(KernelCacheTest, MatchesReferenceModelWithDefaultShards) {
+  for (uint64_t seed : {4, 5}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // 128 possible keys and 128 slots per shard: no shard can evict,
+    // however keys spread, so the model's single list is exact.
+    KernelCache cache(16 * 128);
+    ASSERT_EQ(cache.num_shards(), KernelCache::kDefaultShards);
+    CacheModel model(std::numeric_limits<int>::max());
+    RunAgainstModel(&cache, &model, /*num_users=*/32, /*num_hashes=*/4, seed,
+                    /*num_ops=*/10000);
+    EXPECT_EQ(model.total_evictions, 0);
+  }
+}
+
+// Four serving threads hit a Zipf user stream of 30-item pools while a
+// fifth invalidates users and items. An entry whose insertion finished
+// before an invalidation that touches it started must be gone: it may
+// survive only by having been re-inserted after that invalidation began.
+TEST(KernelCacheTest, ConcurrentInvalidationLeavesNoStaleEntry) {
+  constexpr int kUsers = 2000;
+  constexpr int kCatalog = 600;
+  constexpr int kPool = 30;
+  constexpr int kWorkers = 4;
+  constexpr int kOpsPerWorker = 5000;
+  KernelCache cache(512);  // 16 shards of 32 entries: evicts throughout.
+  ASSERT_EQ(cache.num_shards(), KernelCache::kDefaultShards);
+
+  auto pool_of = [](int user) {
+    std::vector<int> items(kPool);
+    for (int j = 0; j < kPool; ++j) items[j] = (user * 7 + j * 13) % kCatalog;
+    return items;
+  };
+  std::vector<double> zipf_cdf(kUsers);
+  double mass = 0.0;
+  for (int u = 0; u < kUsers; ++u) {
+    mass += 1.0 / (u + 1);
+    zipf_cdf[static_cast<size_t>(u)] = mass;
+  }
+  auto zipf_user = [&zipf_cdf, mass](Rng* rng) {
+    const double x = rng->Uniform() * mass;
+    const auto it = std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), x);
+    return std::min(kUsers - 1, static_cast<int>(it - zipf_cdf.begin()));
+  };
+
+  // One clock orders insertions (ticket taken after GetOrBuild returns)
+  // against invalidations (ticket taken before the call starts).
+  std::atomic<long> clock{0};
+  struct Insert {
+    int user;
+    uint64_t hash;
+    std::shared_ptr<const ServedKernel> value;
+    long ticket;
+  };
+  struct Invalidation {
+    std::vector<int> users;
+    std::vector<int> items;
+    long ticket;
+  };
+  std::vector<std::vector<Insert>> inserts(kWorkers);
+  std::vector<Invalidation> invalidations;
+  long invalidated_total = 0;
+  std::atomic<bool> workers_done{false};
+
+  std::thread invalidator([&] {
+    Rng rng(77);
+    for (int round = 0; round < 20 || !workers_done.load(); ++round) {
+      Invalidation users;
+      users.users = {zipf_user(&rng), zipf_user(&rng), zipf_user(&rng)};
+      users.ticket = clock.fetch_add(1);
+      invalidated_total += cache.InvalidateUsers(users.users);
+      invalidations.push_back(std::move(users));
+      Invalidation items;
+      items.items = {rng.UniformInt(kCatalog), rng.UniformInt(kCatalog)};
+      items.ticket = clock.fetch_add(1);
+      invalidated_total += cache.InvalidateItems(items.items);
+      invalidations.push_back(std::move(items));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(100 + static_cast<uint64_t>(w));
+      for (int op = 0; op < kOpsPerWorker; ++op) {
+        const int user = zipf_user(&rng);
+        if (rng.Bernoulli(0.5) && cache.GetCurrent(user, 0) != nullptr) {
+          continue;
+        }
+        const std::vector<int> items = pool_of(user);
+        const uint64_t hash = HashGroundSet(items);
+        std::shared_ptr<const ServedKernel> built;
+        auto r = cache.GetOrBuild(user, hash, items, [&] {
+          built = StampedEntry(items, 0);
+          return Result<std::shared_ptr<const ServedKernel>>(built);
+        });
+        ASSERT_TRUE(r.ok());
+        if (built != nullptr) {
+          inserts[static_cast<size_t>(w)].push_back(
+              Insert{user, hash, built, clock.fetch_add(1)});
+        }
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  workers_done.store(true);
+  invalidator.join();
+
+  EXPECT_LE(cache.size(), cache.capacity());
+  long shard_sum = 0;
+  for (long s : cache.InvalidationsByShard()) shard_sum += s;
+  EXPECT_EQ(shard_sum, cache.invalidations());
+  EXPECT_EQ(cache.invalidations(), invalidated_total);
+  EXPECT_GT(cache.invalidations(), 0);
+
+  long resident = 0;
+  long stale = 0;
+  for (const auto& per_worker : inserts) {
+    for (const Insert& ins : per_worker) {
+      if (cache.Get(ins.user, ins.hash) != ins.value) continue;
+      ++resident;
+      for (const Invalidation& inv : invalidations) {
+        if (ins.ticket >= inv.ticket) continue;
+        bool touched = std::find(inv.users.begin(), inv.users.end(),
+                                 ins.user) != inv.users.end();
+        for (int item : inv.items) {
+          touched = touched || std::find(ins.value->items.begin(),
+                                         ins.value->items.end(),
+                                         item) != ins.value->items.end();
+        }
+        if (touched) ++stale;
+      }
+    }
+  }
+  EXPECT_EQ(resident, cache.size());
+  EXPECT_EQ(stale, 0);
 }
 
 // ---------------------------------------------------------------------
